@@ -14,7 +14,7 @@ int main() {
   bench::BenchEnv env = bench::BenchEnv::FromEnvironment();
   gen::ExperimentConfig config;
   config = config.Scaled(env.scale);
-  auto instance = gen::BuildInstance(config);
+  auto instance = gen::BuildShardedInstance(config, /*num_shards=*/1);
   if (!instance.ok()) {
     std::fprintf(stderr, "build failed: %s\n",
                  instance.status().ToString().c_str());
@@ -54,7 +54,7 @@ int main() {
       opts.stop_finished_expansions = c.stop;
       algo::SkylineQuery query(engine.value().get(), opts);
       MCN_CHECK(query.ComputeAll().ok());
-      uint64_t misses = (*instance)->pool->stats().misses;
+      uint64_t misses = (*instance)->reader->PoolStats().misses;
       modeled += watch.ElapsedSeconds() + misses * env.io_latency_ms / 1e3;
       misses_total += misses;
       pops += query.stats().nn_pops;

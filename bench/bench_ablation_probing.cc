@@ -15,7 +15,7 @@ int main() {
   bench::BenchEnv env = bench::BenchEnv::FromEnvironment();
   gen::ExperimentConfig config;  // paper defaults
   config = config.Scaled(env.scale);
-  auto instance = gen::BuildInstance(config);
+  auto instance = gen::BuildShardedInstance(config, /*num_shards=*/1);
   if (!instance.ok()) {
     std::fprintf(stderr, "build failed: %s\n",
                  instance.status().ToString().c_str());
@@ -50,7 +50,7 @@ int main() {
       opts.probe_policy = c.policy;
       algo::SkylineQuery query(engine.value().get(), opts);
       MCN_CHECK(query.ComputeAll().ok());
-      uint64_t misses = (*instance)->pool->stats().misses;
+      uint64_t misses = (*instance)->reader->PoolStats().misses;
       modeled += watch.ElapsedSeconds() + misses * env.io_latency_ms / 1e3;
       misses_total += misses;
       cand_peak = std::max(cand_peak, query.stats().candidates_peak);

@@ -18,7 +18,7 @@ int main() {
   env.queries = std::min(env.queries, 8);
   gen::ExperimentConfig config;
   config = config.Scaled(env.scale);
-  auto instance = gen::BuildInstance(config);
+  auto instance = gen::BuildShardedInstance(config, /*num_shards=*/1);
   if (!instance.ok()) {
     std::fprintf(stderr, "build failed: %s\n",
                  instance.status().ToString().c_str());
@@ -45,7 +45,7 @@ int main() {
       (*instance)->ResetIoState();
       Stopwatch watch;
       MCN_CHECK(algo::NaiveSkyline(*(*instance)->reader, q).ok());
-      uint64_t misses = (*instance)->pool->stats().misses;
+      uint64_t misses = (*instance)->reader->PoolStats().misses;
       modeled += watch.ElapsedSeconds() + misses * env.io_latency_ms / 1e3;
       misses_total += misses;
     }
@@ -64,7 +64,7 @@ int main() {
       MCN_CHECK(engine.ok());
       algo::SkylineQuery query(engine.value().get());
       MCN_CHECK(query.ComputeAll().ok());
-      uint64_t misses = (*instance)->pool->stats().misses;
+      uint64_t misses = (*instance)->reader->PoolStats().misses;
       modeled += watch.ElapsedSeconds() + misses * env.io_latency_ms / 1e3;
       misses_total += misses;
     }

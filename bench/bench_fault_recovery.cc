@@ -69,7 +69,7 @@ int CountOpenFds() {
   return count - 1;  // the iterator's own fd
 }
 
-std::vector<api::QuerySpec> MixedSpecs(gen::Instance& instance,
+std::vector<api::QuerySpec> MixedSpecs(gen::ShardedInstance& instance,
                                        expand::EngineKind engine,
                                        uint64_t seed, int count) {
   Random rng(seed);
@@ -225,7 +225,7 @@ int Main() {
   gen::ExperimentConfig config;  // fig. 8(a) base: the paper's defaults
   gen::ExperimentConfig scaled = config.Scaled(env.scale);
   std::printf("building instance (%s)...\n", scaled.ToString().c_str());
-  auto instance = gen::BuildInstance(scaled);
+  auto instance = gen::BuildShardedInstance(scaled, /*num_shards=*/1);
   MCN_CHECK(instance.ok());
 
   const int fds_baseline = CountOpenFds();
@@ -233,8 +233,8 @@ int Main() {
   exec::ServiceOptions opts;
   opts.num_workers = workers;
   opts.queue_capacity = 256;
-  opts.pool_frames_per_worker = (*instance)->pool->capacity();
-  auto service = exec::QueryService::Create(&(*instance)->disk,
+  opts.pool_frames_per_worker = (*instance)->pool_frames;
+  auto service = exec::QueryService::Create(&(*instance)->storage,
                                             (*instance)->files, opts);
   MCN_CHECK(service.ok());
 

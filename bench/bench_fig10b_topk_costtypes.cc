@@ -16,7 +16,7 @@ int main() {
     gen::ExperimentConfig config = base;
     config.num_costs = d;
     config = config.Scaled(env.scale);
-    auto instance = gen::BuildInstance(config);
+    auto instance = gen::BuildShardedInstance(config, /*num_shards=*/1);
     if (!instance.ok()) {
       std::fprintf(stderr, "build failed: %s\n",
                    instance.status().ToString().c_str());

@@ -13,14 +13,14 @@ int main() {
                      "buffer %", base.Scaled(env.scale), env);
 
   gen::ExperimentConfig config = base.Scaled(env.scale);
-  auto instance = gen::BuildInstance(config);
+  auto instance = gen::BuildShardedInstance(config, /*num_shards=*/1);
   if (!instance.ok()) {
     std::fprintf(stderr, "build failed: %s\n",
                  instance.status().ToString().c_str());
     return 1;
   }
   for (double pct : {0.0, 0.5, 1.0, 1.5, 2.0}) {
-    (*instance)->pool->SetCapacity(
+    (*instance)->reader->shard_pool(0)->SetCapacity(
         gen::BufferFrames(pct, (*instance)->files.total_pages));
     auto comparison = bench::CompareLsaCea(**instance, env, 4242,
         bench::TopKRunner(4, config.num_costs));

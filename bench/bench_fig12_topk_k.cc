@@ -13,7 +13,7 @@ int main() {
                      base.Scaled(env.scale), env);
 
   gen::ExperimentConfig config = base.Scaled(env.scale);
-  auto instance = gen::BuildInstance(config);
+  auto instance = gen::BuildShardedInstance(config, /*num_shards=*/1);
   if (!instance.ok()) {
     std::fprintf(stderr, "build failed: %s\n",
                  instance.status().ToString().c_str());

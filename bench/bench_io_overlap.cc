@@ -58,19 +58,19 @@ struct LegResult {
   obs::Snapshot snapshot;
 };
 
-LegResult RunLeg(gen::Instance& instance, const BenchEnv& env,
+LegResult RunLeg(gen::ShardedInstance& instance, const BenchEnv& env,
                  double stall_us, exec::StallModel model, bool simulate,
                  bool replay, const std::vector<graph::Location>& locations) {
   exec::ServiceOptions opts;
   opts.num_workers = 1;
   opts.queue_capacity = locations.size() + 1;
-  opts.pool_frames_per_worker = instance.pool->capacity();
+  opts.pool_frames_per_worker = instance.pool_frames;
   opts.io_latency_ms = stall_us / 1000.0;
   opts.simulate_io_stalls = simulate;
   opts.stall_model = model;
   opts.replay_batch_io = replay;
   auto service =
-      exec::QueryService::Create(&instance.disk, instance.files, opts);
+      exec::QueryService::Create(&instance.storage, instance.files, opts);
   MCN_CHECK(service.ok());
 
   LegResult leg;
@@ -158,7 +158,7 @@ int Main() {
   gen::ExperimentConfig config;  // fig. 8(a) base: d=4 skyline defaults
   gen::ExperimentConfig scaled = config.Scaled(env.scale);
   std::printf("building instance (%s)...\n", scaled.ToString().c_str());
-  auto instance = gen::BuildInstance(scaled);
+  auto instance = gen::BuildShardedInstance(scaled, /*num_shards=*/1);
   MCN_CHECK(instance.ok());
 
   Random rng(2026);
@@ -198,18 +198,19 @@ int Main() {
               overlapped.mean_latency_s * 1e3);
 
   // Spill the frozen pages to an image and re-run with physical batched
-  // replay — the real-I/O anchor of the modeled overlap.
+  // replay — the real-I/O anchor of the modeled overlap. K = 1: the whole
+  // network sits on shard 0's disk.
+  storage::DiskManager* disk = (*instance)->storage.disk(0);
   const std::string image_path =
       "/tmp/mcn_io_overlap_" + std::to_string(getpid()) + ".img";
-  Status attached =
-      (*instance)->disk.AttachFileBackend(image_path, RequestedBackend());
+  Status attached = disk->AttachFileBackend(image_path, RequestedBackend());
   MCN_CHECK(attached.ok());
-  const storage::IoBackendKind backend = (*instance)->disk.io_backend();
+  const storage::IoBackendKind backend = disk->io_backend();
   LegResult file_backed =
       RunLeg(**instance, env, stall_us, exec::StallModel::kOverlapped,
              /*simulate=*/false, /*replay=*/true, locations);
   CheckParity("file_backed", serial, file_backed);
-  (*instance)->disk.DetachFileBackend();
+  disk->DetachFileBackend();
   std::remove(image_path.c_str());
   AlgoComparison c_file;
   c_file.cea = file_backed.metrics;

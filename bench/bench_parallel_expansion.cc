@@ -48,15 +48,13 @@ struct PointRun {
   std::vector<uint64_t> physical_fetches;
 };
 
-PointRun RunPoint(gen::Instance& instance, int parallelism, double stall_us,
-                  const BenchEnv& env,
+PointRun RunPoint(gen::ShardedInstance& instance, int parallelism,
+                  double stall_us, const BenchEnv& env,
                   const std::vector<graph::Location>& locations,
                   expand::ParallelProbeScheduler::Mode mode =
                       expand::ParallelProbeScheduler::Mode::kTurnBarrier) {
-  auto executor =
-      exec::ExpansionExecutor::Create(&instance.disk, instance.files,
-                                      parallelism,
-                                      instance.pool->capacity());
+  auto executor = exec::ExpansionExecutor::Create(
+      &instance.storage, instance.files, parallelism, instance.pool_frames);
   MCN_CHECK(executor.ok());
 
   PointRun run;
@@ -150,7 +148,7 @@ int Main() {
     config.num_costs = d;
     gen::ExperimentConfig scaled = config.Scaled(env.scale);
     std::printf("building instance (%s)...\n", scaled.ToString().c_str());
-    auto instance = gen::BuildInstance(scaled);
+    auto instance = gen::BuildShardedInstance(scaled, /*num_shards=*/1);
     MCN_CHECK(instance.ok());
 
     Random rng(2026 + d);

@@ -46,7 +46,8 @@ struct SweepRun {
   uint64_t prune_cut = 0;
 };
 
-SweepRun RunSkylineSweep(gen::Instance& instance, expand::EngineKind kind,
+SweepRun RunSkylineSweep(gen::ShardedInstance& instance,
+                         expand::EngineKind kind,
                          const std::vector<graph::Location>& locations,
                          net::LandmarkIndexReader* index,
                          const BenchEnv& env) {
@@ -73,7 +74,7 @@ SweepRun RunSkylineSweep(gen::Instance& instance, expand::EngineKind kind,
 
     // Honest accounting: the index reader's dedicated pool counts against
     // the on-run — the prune win must be net of the oracle's own reads.
-    storage::BufferPool::Stats io = instance.pool->stats();
+    storage::BufferPool::Stats io = instance.reader->PoolStats();
     if (index != nullptr) {
       const storage::BufferPool::Stats lm = index->pool().stats();
       io.hits += lm.hits;
@@ -110,7 +111,7 @@ int Main() {
   scaled.landmarks = landmarks;
   std::printf("building indexed instance (%s)...\n",
               scaled.ToString().c_str());
-  auto instance = gen::BuildInstance(scaled);
+  auto instance = gen::BuildShardedInstance(scaled, /*num_shards=*/1);
   MCN_CHECK(instance.ok());
   MCN_CHECK((*instance)->landmark_reader != nullptr);
 

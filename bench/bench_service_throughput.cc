@@ -3,8 +3,9 @@
 // Builds the fig. 8(a) base instance (the paper's default skyline
 // configuration at MCN_BENCH_SCALE), then serves the same fixed set of
 // skyline queries through an exec::QueryService at 1/2/4/8 workers, for
-// both engine flavors. Each worker owns its own LRU pool (sized exactly
-// like the single-threaded experiments) over the shared read-only disk;
+// both engine flavors, on the single-disk (K = 1) layout. Each worker owns
+// its own LRU pool (sized exactly like the single-threaded experiments)
+// over the shared read-only disk;
 // per-miss I/O stalls are slept for real (MCN_SERVICE_STALL_US per miss),
 // so the measured wall-clock QPS reflects genuinely overlapped I/O — the
 // effect the executor exists to exploit.
@@ -67,7 +68,8 @@ struct Reference {
 
 // Direct single-threaded execution on the instance's own pool/reader —
 // the parity anchor every service run is compared against.
-Reference DirectReference(gen::Instance& instance, expand::EngineKind kind,
+Reference DirectReference(gen::ShardedInstance& instance,
+                          expand::EngineKind kind,
                           const std::vector<graph::Location>& locations) {
   Reference ref;
   double total_size = 0;
@@ -79,35 +81,33 @@ Reference DirectReference(gen::Instance& instance, expand::EngineKind kind,
     auto rows = query.ComputeAll();
     MCN_CHECK(rows.ok());
     ref.hashes.push_back(algo::HashResult(rows.value()));
-    ref.misses.push_back(instance.pool->stats().misses);
+    ref.misses.push_back(instance.reader->PoolStats().misses);
     total_size += static_cast<double>(rows.value().size());
   }
   ref.avg_result_size = total_size / static_cast<double>(locations.size());
   return ref;
 }
 
-ServiceRun RunService(gen::Instance& instance, expand::EngineKind kind,
+ServiceRun RunService(gen::ShardedInstance& instance, expand::EngineKind kind,
                       int workers, double stall_us, const BenchEnv& env,
                       const std::vector<graph::Location>& locations) {
   exec::ServiceOptions opts;
   opts.num_workers = workers;
   opts.queue_capacity = locations.size() + 1;
-  opts.pool_frames_per_worker = instance.pool->capacity();
+  opts.pool_frames_per_worker = instance.pool_frames;
   opts.io_latency_ms = stall_us / 1000.0;
   opts.simulate_io_stalls = stall_us > 0;
   auto service =
-      exec::QueryService::Create(&instance.disk, instance.files, opts);
+      exec::QueryService::Create(&instance.storage, instance.files, opts);
   MCN_CHECK(service.ok());
 
   std::vector<std::future<exec::QueryResult>> futures;
   futures.reserve(locations.size());
   Stopwatch wall;
   for (const graph::Location& loc : locations) {
-    exec::QueryRequest request;
-    request.kind = exec::QueryKind::kSkyline;
-    request.engine = kind;
-    request.location = loc;
-    futures.push_back((*service)->Submit(std::move(request)));
+    api::QuerySpec spec = api::SkylineSpec(loc);
+    spec.engine = kind;
+    futures.push_back((*service)->Submit(std::move(spec)));
   }
 
   ServiceRun run;
@@ -169,7 +169,7 @@ void CheckParity(const char* engine, int workers, const Reference& ref,
 // One leg of the result-cache figure: serves `order` (indexes into
 // `distinct`) through a 4-worker service after a one-pass warmup, checks
 // every response hash against the reference, and measures replay QPS.
-ServiceRun RunCacheLeg(gen::Instance& instance, size_t cache_entries,
+ServiceRun RunCacheLeg(gen::ShardedInstance& instance, size_t cache_entries,
                        double stall_us, const BenchEnv& env,
                        const std::vector<graph::Location>& distinct,
                        const std::vector<size_t>& order,
@@ -177,12 +177,12 @@ ServiceRun RunCacheLeg(gen::Instance& instance, size_t cache_entries,
   exec::ServiceOptions opts;
   opts.num_workers = 4;
   opts.queue_capacity = order.size() + distinct.size() + 1;
-  opts.pool_frames_per_worker = instance.pool->capacity();
+  opts.pool_frames_per_worker = instance.pool_frames;
   opts.io_latency_ms = stall_us / 1000.0;
   opts.simulate_io_stalls = stall_us > 0;
   opts.result_cache_entries = cache_entries;
   auto service =
-      exec::QueryService::Create(&instance.disk, instance.files, opts);
+      exec::QueryService::Create(&instance.storage, instance.files, opts);
   MCN_CHECK(service.ok());
 
   auto submit = [&](const graph::Location& loc) {
@@ -260,7 +260,7 @@ int Main() {
   gen::ExperimentConfig config;  // fig. 8(a) base: the paper's defaults
   gen::ExperimentConfig scaled = config.Scaled(env.scale);
   std::printf("building instance (%s)...\n", scaled.ToString().c_str());
-  auto instance = gen::BuildInstance(scaled);
+  auto instance = gen::BuildShardedInstance(scaled, /*num_shards=*/1);
   MCN_CHECK(instance.ok());
 
   Random rng(2026);

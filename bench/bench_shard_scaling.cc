@@ -12,7 +12,7 @@
 // shard pool the full per-worker frame budget — the ROADMAP's per-socket
 // model, where each socket contributes its own DIMMs and aggregate buffer
 // grows with K. "split" divides the budget across the K shard pools
-// (iso-memory with the flat layout); it isolates the cost of statically
+// (iso-memory with K = 1); it isolates the cost of statically
 // partitioning LRU capacity, which inflates misses at the paper's small
 // buffer sizes — the honest price of the cut, reported rather than hidden.
 //
@@ -21,7 +21,7 @@
 // remote-fetch ratio — the §2 accounting of how often a d-expansion
 // escapes its home tile. The run aborts if
 //   * any K produces a result hash different from direct single-threaded
-//     execution on the flat layout (the determinism contract), or
+//     execution on the K = 1 layout (the determinism contract), or
 //   * K = 1 reports any remote fetch, or
 //   * QPS at K = 4 falls below MCN_SHARD_MIN_QPS_RATIO x the K = 1 QPS
 //     (default 0.5 in socket mode, 0.15 in split mode; 0 disables).
@@ -57,9 +57,10 @@ struct Reference {
   double avg_result_size = 0;
 };
 
-// Direct single-threaded execution on the flat instance — the parity
-// anchor every sharded run is compared against.
-Reference DirectReference(gen::Instance& instance, expand::EngineKind kind,
+// Direct single-threaded execution on the K = 1 instance's own reader —
+// the parity anchor every service run is compared against.
+Reference DirectReference(gen::ShardedInstance& instance,
+                          expand::EngineKind kind,
                           const std::vector<graph::Location>& locations) {
   Reference ref;
   double total_size = 0;
@@ -98,11 +99,9 @@ RunMetrics RunSharded(gen::ShardedInstance& instance,
   futures.reserve(locations.size());
   Stopwatch wall;
   for (const graph::Location& loc : locations) {
-    exec::QueryRequest request;
-    request.kind = exec::QueryKind::kSkyline;
-    request.engine = kind;
-    request.location = loc;
-    futures.push_back((*service)->Submit(std::move(request)));
+    api::QuerySpec spec = api::SkylineSpec(loc);
+    spec.engine = kind;
+    futures.push_back((*service)->Submit(std::move(spec)));
   }
 
   RunMetrics metrics;
@@ -113,7 +112,7 @@ RunMetrics RunSharded(gen::ShardedInstance& instance,
     if (result.result_hash != ref.hashes[i]) {
       std::fprintf(stderr,
                    "PARITY FAILURE: K=%d query %zu hash %016" PRIx64
-                   " != flat single-threaded %016" PRIx64 "\n",
+                   " != K=1 single-threaded %016" PRIx64 "\n",
                    instance.storage.num_shards(), i, result.result_hash,
                    ref.hashes[i]);
       std::abort();
@@ -164,24 +163,24 @@ int Main() {
 
   gen::ExperimentConfig config;  // fig. 8(a) base: the paper's defaults
   gen::ExperimentConfig scaled = config.Scaled(env.scale);
-  std::printf("building flat reference instance (%s)...\n",
+  std::printf("building K=1 reference instance (%s)...\n",
               scaled.ToString().c_str());
-  auto flat = gen::BuildInstance(scaled);
-  MCN_CHECK(flat.ok());
+  auto reference = gen::BuildShardedInstance(scaled, /*num_shards=*/1);
+  MCN_CHECK(reference.ok());
 
   Random rng(2026);
   std::vector<graph::Location> locations;
   locations.reserve(num_requests);
   for (int i = 0; i < num_requests; ++i) {
-    locations.push_back((*flat)->RandomQueryLocation(rng));
+    locations.push_back((*reference)->RandomQueryLocation(rng));
   }
 
-  std::printf("computing flat single-threaded reference (%d queries)...\n",
+  std::printf("computing K=1 single-threaded reference (%d queries)...\n",
               num_requests);
   Reference ref_lsa =
-      DirectReference(**flat, expand::EngineKind::kLsa, locations);
+      DirectReference(**reference, expand::EngineKind::kLsa, locations);
   Reference ref_cea =
-      DirectReference(**flat, expand::EngineKind::kCea, locations);
+      DirectReference(**reference, expand::EngineKind::kCea, locations);
 
   PrintHeader("Shard scaling: skyline QPS + remote-fetch ratio vs K "
               "(fig. 8(a) base)",
@@ -227,7 +226,7 @@ int Main() {
   PrintFooter();
 
   std::printf(
-      "result hashes: identical to flat single-threaded execution at every "
+      "result hashes: identical to K=1 single-threaded execution at every "
       "K.\n");
   if (min_qps_ratio > 0 && qps_k1 > 0 && qps_k4 < min_qps_ratio * qps_k1) {
     std::fprintf(stderr,

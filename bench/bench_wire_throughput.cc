@@ -54,7 +54,7 @@
 namespace mcn::bench {
 namespace {
 
-std::vector<api::QuerySpec> MixedSpecs(gen::Instance& instance,
+std::vector<api::QuerySpec> MixedSpecs(gen::ShardedInstance& instance,
                                        expand::EngineKind engine,
                                        uint64_t seed, int count) {
   Random rng(seed);
@@ -113,7 +113,7 @@ Reference InProcessReference(exec::QueryService& service,
 /// Streams one incremental session over the wire and in process; aborts
 /// on any sequence divergence (the session leg of the parity gate).
 void CheckSessionParity(exec::QueryService& service, int port,
-                        gen::Instance& instance, int d, uint64_t seed) {
+                        gen::ShardedInstance& instance, int d, uint64_t seed) {
   Random rng(seed);
   std::vector<double> weights(d);
   for (double& w : weights) w = rng.NextDouble();
@@ -312,17 +312,17 @@ int Main() {
   gen::ExperimentConfig config;  // fig. 8(a) base: the paper's defaults
   gen::ExperimentConfig scaled = config.Scaled(env.scale);
   std::printf("building instance (%s)...\n", scaled.ToString().c_str());
-  auto instance = gen::BuildInstance(scaled);
+  auto instance = gen::BuildShardedInstance(scaled, /*num_shards=*/1);
   MCN_CHECK(instance.ok());
   const int d = (*instance)->graph.num_costs();
 
   exec::ServiceOptions opts;
   opts.num_workers = workers;
   opts.queue_capacity = 256;
-  opts.pool_frames_per_worker = (*instance)->pool->capacity();
+  opts.pool_frames_per_worker = (*instance)->pool_frames;
   opts.io_latency_ms = stall_us / 1000.0;
   opts.simulate_io_stalls = stall_us > 0;
-  auto service = exec::QueryService::Create(&(*instance)->disk,
+  auto service = exec::QueryService::Create(&(*instance)->storage,
                                             (*instance)->files, opts);
   MCN_CHECK(service.ok());
   auto server = api::Server::Start((*service).get(), {});

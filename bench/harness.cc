@@ -174,7 +174,7 @@ void WriteJson() {
   std::fclose(f);
 }
 
-RunMetrics RunOne(gen::Instance& instance, expand::EngineKind kind,
+RunMetrics RunOne(gen::ShardedInstance& instance, expand::EngineKind kind,
                   const BenchEnv& env, uint64_t query_seed,
                   const QueryFn& run) {
   RunMetrics metrics;
@@ -192,10 +192,11 @@ RunMetrics RunOne(gen::Instance& instance, expand::EngineKind kind,
     metrics.result_size += static_cast<double>(outcome.result_size);
     metrics.result_hash =
         algo::FnvMixU64(metrics.result_hash, outcome.result_hash);
-    uint64_t misses = instance.pool->stats().misses;
+    const storage::BufferPool::Stats io = instance.reader->PoolStats();
+    const uint64_t misses = io.misses;
     metrics.cpu_seconds += cpu;
     metrics.buffer_misses += misses;
-    metrics.buffer_accesses += instance.pool->stats().accesses();
+    metrics.buffer_accesses += io.accesses();
     metrics.modeled_seconds += cpu + misses * env.io_latency_ms / 1000.0;
     ++metrics.queries;
   }
@@ -216,8 +217,9 @@ BenchEnv BenchEnv::FromEnvironment() {
   return env;
 }
 
-AlgoComparison CompareLsaCea(gen::Instance& instance, const BenchEnv& env,
-                             uint64_t query_seed, const QueryFn& run) {
+AlgoComparison CompareLsaCea(gen::ShardedInstance& instance,
+                             const BenchEnv& env, uint64_t query_seed,
+                             const QueryFn& run) {
   AlgoComparison c;
   c.lsa = RunOne(instance, expand::EngineKind::kLsa, env, query_seed, run);
   c.cea = RunOne(instance, expand::EngineKind::kCea, env, query_seed, run);

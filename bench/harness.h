@@ -71,9 +71,9 @@ struct RunMetrics {
   double latency_p95_ms = 0;
   double latency_p99_ms = 0;
   double qps = 0;
-  /// Sharded benches only (DESIGN.md §8): record fetches the workers
-  /// routed to their home shard vs across a shard boundary. Zero for
-  /// flat benchmarks.
+  /// Shard benches only (DESIGN.md §8): record fetches the workers
+  /// routed to their home shard vs across a shard boundary. Zero for the
+  /// figure benchmarks, which do not collect them.
   uint64_t local_fetches = 0;
   uint64_t remote_fetches = 0;
 
@@ -113,8 +113,9 @@ struct AlgoComparison {
   RunMetrics lsa;
   RunMetrics cea;
 };
-AlgoComparison CompareLsaCea(gen::Instance& instance, const BenchEnv& env,
-                             uint64_t query_seed, const QueryFn& run);
+AlgoComparison CompareLsaCea(gen::ShardedInstance& instance,
+                             const BenchEnv& env, uint64_t query_seed,
+                             const QueryFn& run);
 
 /// Skyline / top-k query runners for CompareLsaCea.
 QueryFn SkylineRunner();

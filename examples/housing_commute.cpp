@@ -24,7 +24,7 @@ int main() {
   config.num_costs = 2;
   config.distribution = gen::CostDistribution::kIndependent;
   config.seed = 2210;
-  auto instance = gen::BuildInstance(config).value();
+  auto instance = gen::BuildShardedInstance(config, /*num_shards=*/1).value();
 
   Random rng(11);
   graph::Location university = instance->RandomQueryLocation(rng);

@@ -75,10 +75,9 @@ int Facilities(int argc, char** argv) {
 struct LoadedNetwork {
   graph::MultiCostGraph g{1};
   graph::FacilitySet facilities;
-  storage::DiskManager disk;
-  net::NetworkFiles files;
-  std::unique_ptr<storage::BufferPool> pool;
-  std::unique_ptr<net::NetworkReader> reader;
+  std::unique_ptr<shard::ShardedStorage> storage;  ///< one shard, one disk
+  shard::ShardedNetworkFiles files;
+  std::unique_ptr<shard::ShardedNetworkReader> reader;
 };
 
 Result<std::unique_ptr<LoadedNetwork>> Load(const char* graph_path,
@@ -87,13 +86,15 @@ Result<std::unique_ptr<LoadedNetwork>> Load(const char* graph_path,
   MCN_ASSIGN_OR_RETURN(loaded->g, io::ReadGraphFromFile(graph_path));
   MCN_ASSIGN_OR_RETURN(loaded->facilities,
                        io::ReadFacilitiesFromFile(fac_path, loaded->g));
-  MCN_ASSIGN_OR_RETURN(
-      loaded->files,
-      net::BuildNetwork(&loaded->disk, loaded->g, loaded->facilities));
-  loaded->pool = std::make_unique<storage::BufferPool>(
-      &loaded->disk, gen::BufferFrames(1.0, loaded->files.total_pages));
-  loaded->reader = std::make_unique<net::NetworkReader>(loaded->files,
-                                                        loaded->pool.get());
+  loaded->storage = std::make_unique<shard::ShardedStorage>(
+      shard::SingleShardPartition(loaded->g.num_nodes()));
+  MCN_ASSIGN_OR_RETURN(loaded->files,
+                       shard::BuildShardedNetwork(loaded->storage.get(),
+                                                  loaded->g,
+                                                  loaded->facilities));
+  loaded->reader = std::make_unique<shard::ShardedNetworkReader>(
+      loaded->storage.get(), loaded->files,
+      std::vector<size_t>{gen::BufferFrames(1.0, loaded->files.total_pages)});
   return loaded;
 }
 
@@ -116,7 +117,7 @@ int Skyline(int argc, char** argv) {
   }
   std::printf("I/O: %llu page reads\n",
               static_cast<unsigned long long>(
-                  (*loaded)->pool->stats().misses));
+                  (*loaded)->reader->PoolStats().misses));
   return 0;
 }
 

@@ -42,11 +42,12 @@ int main() {
   facilities.Finalize();
 
   // Materialize the disk-resident storage scheme (adjacency tree/file,
-  // facility tree/file) and front it with a tiny LRU buffer.
-  storage::DiskManager disk;
-  auto files = net::BuildNetwork(&disk, g, facilities).value();
-  storage::BufferPool pool(&disk, /*capacity_frames=*/8);
-  net::NetworkReader reader(files, &pool);
+  // facility tree/file) on one disk — a single-shard layout — and front it
+  // with a tiny LRU buffer.
+  shard::ShardedStorage storage(shard::SingleShardPartition(g.num_nodes()));
+  auto files = shard::BuildShardedNetwork(&storage, g, facilities).value();
+  shard::ShardedNetworkReader reader(&storage, files,
+                                     /*frames=*/{8});
 
   // Query location: on edge (0,1), a fifth of the way from node 0.
   graph::Location q = graph::Location::OnEdge(graph::EdgeKey(0, 1), 0.2);
@@ -65,9 +66,10 @@ int main() {
       std::printf("  facility %u  costs=%s\n", next->facility,
                   next->costs.ToString().c_str());
     }
+    const storage::BufferPool::Stats io = reader.PoolStats();
     std::printf("buffer after skyline: %llu hits, %llu misses\n\n",
-                static_cast<unsigned long long>(pool.stats().hits),
-                static_cast<unsigned long long>(pool.stats().misses));
+                static_cast<unsigned long long>(io.hits),
+                static_cast<unsigned long long>(io.misses));
   }
 
   // Top-2 with a 70/30 minutes/dollars trade-off.
@@ -93,7 +95,7 @@ int main() {
   exec::ServiceOptions options;
   options.num_workers = 2;
   options.pool_frames_per_worker = 8;
-  auto service = exec::QueryService::Create(&disk, files, options).value();
+  auto service = exec::QueryService::Create(&storage, files, options).value();
 
   // The full skyline, as a spec.
   {

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   config.distribution = gen::CostDistribution::kAntiCorrelated;
   config.buffer_pct = 1.0;
   config.seed = 99;
-  auto instance = gen::BuildInstance(config).value();
+  auto instance = gen::BuildShardedInstance(config, /*num_shards=*/1).value();
 
   // The port: a fixed location in the network.
   Random rng(7);

@@ -46,6 +46,14 @@ Status ValidateOptions(const ServiceOptions& options) {
   return Status::OK();
 }
 
+/// Fills the per-query routed-fetch split from two reader-counter samples.
+void SetFetchDelta(const shard::ShardedNetworkReader::ShardIoStats& before,
+                   const shard::ShardedNetworkReader::ShardIoStats& after,
+                   QueryStats* stats) {
+  stats->local_fetches = after.local_fetches - before.local_fetches;
+  stats->remote_fetches = after.remote_fetches - before.remote_fetches;
+}
+
 /// A future that is already resolved with a failed result.
 std::future<QueryResult> ReadyFailure(Status status) {
   QueryResult failed;
@@ -58,19 +66,6 @@ std::future<QueryResult> ReadyFailure(Status status) {
 }
 
 }  // namespace
-
-api::QuerySpec QueryRequest::ToSpec() const {
-  api::QuerySpec spec;
-  spec.kind = kind;
-  spec.location = location;
-  spec.engine = engine;
-  spec.parallelism = parallelism;
-  spec.k = k;
-  // The legacy path ignored weights on skyline requests; keep that (a
-  // spec carrying weights on a skyline is a validation error).
-  if (kind != QueryKind::kSkyline) spec.preference.weights = weights;
-  return spec;
-}
 
 namespace {
 
@@ -104,27 +99,10 @@ api::QueryResponse QueryResult::ToResponse() && {
 }
 
 Result<std::unique_ptr<QueryService>> QueryService::Create(
-    storage::DiskManager* disk, const net::NetworkFiles& files,
-    const ServiceOptions& options) {
-  if (disk == nullptr) {
-    return Status::InvalidArgument("QueryService: null disk");
-  }
-  MCN_RETURN_IF_ERROR(ValidateOptions(options));
-  if (options.enable_prune_index && files.landmark.present()) {
-    // Surface a corrupt/mismatched index as a Create error, not a crash
-    // in the constructor (which builds one reader per worker).
-    net::LandmarkIndexReader probe(disk, files.landmark);
-    MCN_RETURN_IF_ERROR(probe.Validate());
-  }
-  return std::unique_ptr<QueryService>(
-      new QueryService(disk, nullptr, files, {}, options));
-}
-
-Result<std::unique_ptr<QueryService>> QueryService::Create(
     shard::ShardedStorage* storage, const shard::ShardedNetworkFiles& files,
     const ServiceOptions& options) {
   if (storage == nullptr) {
-    return Status::InvalidArgument("QueryService: null sharded storage");
+    return Status::InvalidArgument("QueryService: null storage");
   }
   if (files.num_shards() != storage->num_shards()) {
     return Status::InvalidArgument(
@@ -132,23 +110,21 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
   }
   MCN_RETURN_IF_ERROR(ValidateOptions(options));
   if (options.enable_prune_index && files.landmark.present()) {
-    // The global index row file lives on shard 0's disk (DESIGN.md §12).
+    // Surface a corrupt/mismatched index as a Create error, not a crash
+    // in the constructor (which builds one reader per worker). The global
+    // index row file lives on shard 0's disk (DESIGN.md §12).
     net::LandmarkIndexReader probe(storage->disk(0), files.landmark);
     MCN_RETURN_IF_ERROR(probe.Validate());
   }
   return std::unique_ptr<QueryService>(
-      new QueryService(nullptr, storage, {}, files, options));
+      new QueryService(storage, files, options));
 }
 
-QueryService::QueryService(storage::DiskManager* disk,
-                           shard::ShardedStorage* storage,
-                           const net::NetworkFiles& files,
-                           const shard::ShardedNetworkFiles& sharded_files,
+QueryService::QueryService(shard::ShardedStorage* storage,
+                           const shard::ShardedNetworkFiles& files,
                            const ServiceOptions& options)
-    : disk_(disk),
-      storage_(storage),
+    : storage_(storage),
       files_(files),
-      sharded_files_(sharded_files),
       opts_(options),
       registry_(options.num_workers) {
   // Resolve every instrument once; workers then record lock-free with
@@ -173,24 +149,24 @@ QueryService::QueryService(storage::DiskManager* disk,
   metrics_.stall_micros = registry_.GetCounter(mn::kStallMicros);
   metrics_.queue_micros = registry_.GetCounter(mn::kQueueMicros);
   metrics_.latency_us = registry_.GetHistogram(mn::kLatencyUs);
-  const int num_shards = storage != nullptr ? storage->num_shards() : 0;
-  for (int s = 0; s < num_shards; ++s) {
+  for (int s = 0; s < storage_->num_shards(); ++s) {
     metrics_.shard_completed.push_back(
         registry_.GetCounter(mn::Shard(s, "completed")));
     metrics_.shard_misses.push_back(
         registry_.GetCounter(mn::Shard(s, "buffer_misses")));
+    metrics_.shard_local_fetches.push_back(
+        registry_.GetCounter(mn::Shard(s, "local_fetches")));
+    metrics_.shard_remote_fetches.push_back(
+        registry_.GetCounter(mn::Shard(s, "remote_fetches")));
   }
-  const net::LandmarkIndexFiles& landmark_files =
-      storage != nullptr ? sharded_files_.landmark : files_.landmark;
   workers_.reserve(opts_.num_workers);
   for (int w = 0; w < opts_.num_workers; ++w) {
     auto worker = std::make_unique<Worker>();
-    worker->reader = MakeReader(&worker->pool);
-    if (opts_.enable_prune_index && landmark_files.present()) {
+    if (opts_.enable_prune_index && files_.landmark.present()) {
       // Create() validated the index file already; a per-worker reader
       // over the same pages cannot fail differently.
       worker->landmark = std::make_unique<net::LandmarkIndexReader>(
-          storage != nullptr ? storage_->disk(0) : disk_, landmark_files);
+          storage_->disk(0), files_.landmark);
       MCN_CHECK(worker->landmark->Validate().ok());
     }
     workers_.push_back(std::move(worker));
@@ -200,21 +176,15 @@ QueryService::QueryService(storage::DiskManager* disk,
   }
   // Freeze the shared storage read-only for the service's lifetime; the
   // storage layer DCHECKs any mutation from here on (DESIGN.md §6).
-  if (sharded()) {
-    storage_->BeginConcurrentReads();
-  } else {
-    disk_->BeginConcurrentReads();
-  }
+  storage_->BeginConcurrentReads();
   StartGroups();
 }
 
 void QueryService::StartGroups() {
   // Shard-affine worker groups: one group per shard when the worker
   // budget allows, otherwise min(K, workers) groups serving the shards
-  // round-robin (RouteGroupIndex). Flat services get the single PR-2
-  // group.
-  const int num_groups =
-      sharded() ? std::min(storage_->num_shards(), opts_.num_workers) : 1;
+  // round-robin (RouteGroupIndex).
+  const int num_groups = std::min(storage_->num_shards(), opts_.num_workers);
   groups_.resize(num_groups);
   int next_worker = 0;
   for (int g = 0; g < num_groups; ++g) {
@@ -226,11 +196,8 @@ void QueryService::StartGroups() {
     next_worker += group.count;
     for (int w = group.base; w < group.base + group.count; ++w) {
       Worker& worker = *workers_[w];
-      worker.home_shard = sharded() ? group.shard : shard::kInvalidShard;
-      if (sharded()) {
-        static_cast<shard::ShardedNetworkReader*>(worker.reader.get())
-            ->set_home_shard(worker.home_shard);
-      }
+      worker.home_shard = group.shard;
+      worker.reader = MakeReader(group.shard);
     }
     group.inflight = std::make_unique<std::atomic<int64_t>>(0);
     group.pool = std::make_unique<ThreadPool<Task>>(
@@ -259,26 +226,22 @@ void QueryService::StartGroups() {
 
 QueryService::~QueryService() { Shutdown(/*drain=*/true); }
 
-std::unique_ptr<net::NetworkReader> QueryService::MakeReader(
-    std::unique_ptr<storage::BufferPool>* flat_pool) const {
+std::unique_ptr<shard::ShardedNetworkReader> QueryService::MakeReader(
+    shard::ShardId home) const {
   // One construction path for worker readers AND session readers: the
   // session-I/O-parity contract (a stream's logical I/O matches a local
   // run over an equal-capacity pool) holds exactly because both get the
   // same pool budget and split policy.
-  if (sharded()) {
-    const std::vector<size_t> shard_frames =
-        opts_.split_pool_across_shards
-            ? shard::SplitFramesAcrossShards(opts_.pool_frames_per_worker,
-                                             storage_->num_shards())
-            : std::vector<size_t>(
-                  static_cast<size_t>(storage_->num_shards()),
-                  opts_.pool_frames_per_worker);
-    return std::make_unique<shard::ShardedNetworkReader>(
-        storage_, sharded_files_, shard_frames);
-  }
-  *flat_pool = std::make_unique<storage::BufferPool>(
-      disk_, opts_.pool_frames_per_worker);
-  return std::make_unique<net::NetworkReader>(files_, flat_pool->get());
+  const std::vector<size_t> shard_frames =
+      opts_.split_pool_across_shards
+          ? shard::SplitFramesAcrossShards(opts_.pool_frames_per_worker,
+                                           storage_->num_shards())
+          : std::vector<size_t>(static_cast<size_t>(storage_->num_shards()),
+                                opts_.pool_frames_per_worker);
+  auto reader = std::make_unique<shard::ShardedNetworkReader>(
+      storage_, files_, shard_frames);
+  reader->set_home_shard(home);
+  return reader;
 }
 
 int QueryService::RouteGroupIndex(const graph::Location& location) const {
@@ -444,10 +407,6 @@ std::future<QueryResult> QueryService::Submit(api::QuerySpec spec) {
   return Enqueue(std::move(task), group);
 }
 
-std::future<QueryResult> QueryService::Submit(QueryRequest request) {
-  return Submit(request.ToSpec());
-}
-
 Result<SessionId> QueryService::OpenSession(api::QuerySpec spec) {
   if (spec.kind != QueryKind::kIncrementalTopK) {
     return Status::InvalidArgument(
@@ -571,11 +530,7 @@ void QueryService::Shutdown(bool drain) {
     MutexLock lock(&sessions_mu_);
     sessions_.clear();
   }
-  if (sharded()) {
-    storage_->EndConcurrentReads();
-  } else {
-    disk_->EndConcurrentReads();
-  }
+  storage_->EndConcurrentReads();
 }
 
 void QueryService::Execute(Task&& task, Group& group, int local_worker) {
@@ -622,8 +577,7 @@ void QueryService::Execute(Task&& task, Group& group, int local_worker) {
                        static_cast<uint64_t>(task.batch_n));
   }
   result.stats.worker = worker_index;
-  result.stats.shard =
-      sharded() ? static_cast<int>(group.shard) : -1;
+  result.stats.shard = static_cast<int>(group.shard);
   // exec_seconds excludes any stall already slept at turn barriers, so
   // subtract both shares or the queue wait would absorb the slept time.
   result.stats.queue_seconds = SecondsSince(task.enqueue_time) -
@@ -662,7 +616,7 @@ void QueryService::Execute(Task&& task, Group& group, int local_worker) {
   if (result.status.ok()) {
     metrics_.completed->Add(1, slot);
     if (is_session) metrics_.session_batches->Add(1, slot);
-    if (sharded()) metrics_.shard_completed[group.shard]->Add(1, slot);
+    metrics_.shard_completed[group.shard]->Add(1, slot);
   } else {
     metrics_.failed->Add(1, slot);
     if (result.status.code() == StatusCode::kDeadlineExceeded) {
@@ -691,9 +645,14 @@ void QueryService::Execute(Task&& task, Group& group, int local_worker) {
   metrics_.queue_micros->Add(
       static_cast<uint64_t>(std::max(result.stats.queue_seconds, 0.0) * 1e6),
       slot);
-  if (sharded()) {
-    metrics_.shard_misses[group.shard]->Add(result.stats.buffer_misses, slot);
-  }
+  metrics_.shard_misses[group.shard]->Add(result.stats.buffer_misses, slot);
+  // Routed fetches of whichever reader set ran the task — the worker's,
+  // its probe rig's, or a session's own — land on the executing group's
+  // shard, like its misses.
+  metrics_.shard_local_fetches[group.shard]->Add(result.stats.local_fetches,
+                                                 slot);
+  metrics_.shard_remote_fetches[group.shard]->Add(
+      result.stats.remote_fetches, slot);
   if (opts_.flight_recorder != nullptr) {
     obs::QueryDigest digest;
     digest.trace_query_id = task.trace.query_id;
@@ -766,13 +725,11 @@ QueryResult QueryService::RunSessionBatch(Session& session, int n,
   if (session.reader == nullptr) {
     // First batch: build the session's private reader set (no I/O yet —
     // pools start empty) and pin it for the stream's lifetime.
-    session.reader = MakeReader(&session.pool);
-    if (sharded()) {
-      static_cast<shard::ShardedNetworkReader*>(session.reader.get())
-          ->set_home_shard(groups_[session.group].shard);
-    }
+    session.reader = MakeReader(groups_[session.group].shard);
   }
   const storage::BufferPool::Stats before = session.reader->PoolStats();
+  const shard::ShardedNetworkReader::ShardIoStats fetches_before =
+      session.reader->shard_io_stats();
   if (session.engine == nullptr) {
     // Engine construction does I/O (expansion seeding), charged to this
     // first batch — the same accounting as a local run that builds its
@@ -814,6 +771,8 @@ QueryResult QueryService::RunSessionBatch(Session& session, int n,
   const storage::BufferPool::Stats after = session.reader->PoolStats();
   result.stats.buffer_misses = after.misses - before.misses;
   result.stats.buffer_accesses = after.accesses() - before.accesses();
+  SetFetchDelta(fetches_before, session.reader->shard_io_stats(),
+                &result.stats);
   result.result_hash = algo::HashResult(result.topk);
   return result;
 }
@@ -842,23 +801,12 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
     // Built lazily on the first parallel request, so a service whose
     // clients never opt in pays no probe threads or extra pools. Safe
     // here: a worker runs one query at a time on its own thread.
-    auto executor =
-        sharded()
-            ? ExpansionExecutor::Create(storage_, sharded_files_,
-                                        opts_.per_query_parallelism,
-                                        opts_.pool_frames_per_worker,
-                                        opts_.split_pool_across_shards)
-            : ExpansionExecutor::Create(disk_, files_,
-                                        opts_.per_query_parallelism,
-                                        opts_.pool_frames_per_worker);
+    auto executor = ExpansionExecutor::Create(
+        storage_, files_, opts_.per_query_parallelism,
+        opts_.pool_frames_per_worker, opts_.split_pool_across_shards);
     MCN_CHECK(executor.ok());
-    auto built = std::move(executor).value();
-    if (sharded()) built->SetHomeShard(worker.home_shard);
-    worker.expansion = std::move(built);
-    // Release-published: MetricsSnapshot samples the executor's
-    // routed-fetch counters from other threads through this pointer.
-    worker.expansion_pub.store(worker.expansion.get(),
-                               std::memory_order_release);
+    worker.expansion = std::move(executor).value();
+    worker.expansion->SetHomeShard(worker.home_shard);
   }
   const bool turn_mode = par >= 1;
   const bool pooled = par > 1;
@@ -883,7 +831,13 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
     }
     return s;
   };
+  auto fetches_now = [&] {
+    return pooled ? worker.expansion->ShardIoStats()
+                  : worker.reader->shard_io_stats();
+  };
   const storage::BufferPool::Stats before = io_now();
+  const shard::ShardedNetworkReader::ShardIoStats fetches_before =
+      fetches_now();
 
   Stopwatch watch;
   std::unique_ptr<expand::NnEngine> engine_holder;
@@ -949,26 +903,28 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
             .misses;
       };
     } else {
-      net::NetworkReader* reader = worker.reader.get();
+      const shard::ShardedNetworkReader* reader = worker.reader.get();
       io.slot_misses = [reader](int) { return reader->PoolStats().misses; };
     }
     if (opts_.stall_model == StallModel::kOverlapped &&
         opts_.simulate_io_stalls) {
       io.sleep_latency_ms = opts_.io_latency_ms;
     }
-    if (opts_.replay_batch_io && !sharded() &&
-        disk_->io_backend() != storage::IoBackendKind::kMemory) {
-      // Physical replay is flat + file-backed only: sharded disks have no
-      // image, and a memory backend would make the replay a pure memcpy
-      // exercise. Pools log their missed PageIds; the barrier drains the
-      // logs into one ReadPagesBatch. Stale entries from a previous query
-      // are drained away before arming.
+    storage::DiskManager* disk = storage_->disk(0);
+    if (opts_.replay_batch_io && storage_->num_shards() == 1 &&
+        disk->io_backend() != storage::IoBackendKind::kMemory) {
+      // Physical replay is single-disk (K = 1) + file-backed only: a
+      // K > 1 turn's misses span several disks, and a memory backend would
+      // make the replay a pure memcpy exercise. Pools log their missed
+      // PageIds; the barrier drains the logs into one ReadPagesBatch.
+      // Stale entries from a previous query are drained away before
+      // arming.
       if (pooled) {
         for (const auto& slot_reader : worker.expansion->readers()) {
-          miss_recording.pools.push_back(slot_reader->pool());
+          miss_recording.pools.push_back(slot_reader->shard_pool(0));
         }
       } else {
-        miss_recording.pools.push_back(worker.pool.get());
+        miss_recording.pools.push_back(worker.reader->shard_pool(0));
       }
       for (storage::BufferPool* pool : miss_recording.pools) {
         pool->set_record_misses(true);
@@ -981,7 +937,7 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
           out->insert(out->end(), drained.begin(), drained.end());
         }
       };
-      io.batch_disk = disk_;
+      io.batch_disk = disk;
     }
     scheduler->SetTurnIo(std::move(io));
   }
@@ -1063,6 +1019,7 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
   const storage::BufferPool::Stats after = io_now();
   result.stats.buffer_misses = after.misses - before.misses;
   result.stats.buffer_accesses = after.accesses() - before.accesses();
+  SetFetchDelta(fetches_before, fetches_now(), &result.stats);
 
   if (scheduler != nullptr && opts_.stall_model == StallModel::kOverlapped) {
     // Overlapped charge = the scheduler's per-turn max sum, plus the
@@ -1093,42 +1050,18 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
 obs::Snapshot QueryService::MetricsSnapshot() const {
   namespace mn = metric_names;
   obs::Snapshot snap = registry_.TakeSnapshot();
-  if (sharded()) {
-    // Routed-fetch counters are relaxed atomics on each worker's reader
-    // (and probe rig), safe to sample while the workers keep executing;
-    // they are appended as derived rows rather than mirrored into the
-    // registry on the hot path.
-    for (const auto& worker : workers_) {
-      if (worker->home_shard == shard::kInvalidShard) continue;
-      auto io = static_cast<const shard::ShardedNetworkReader*>(
-                    worker->reader.get())
-                    ->shard_io_stats();
-      const ExpansionExecutor* expansion =
-          worker->expansion_pub.load(std::memory_order_acquire);
-      if (expansion != nullptr) {
-        const auto pooled_io = expansion->ShardIoStats();
-        io.local_fetches += pooled_io.local_fetches;
-        io.remote_fetches += pooled_io.remote_fetches;
-      }
-      const int s = static_cast<int>(worker->home_shard);
-      snap.AddCounter(mn::Shard(s, "local_fetches"), io.local_fetches);
-      snap.AddCounter(mn::Shard(s, "remote_fetches"), io.remote_fetches);
-    }
-    for (const Group& group : groups_) {
-      snap.AddCounter(mn::Shard(static_cast<int>(group.shard), "workers"),
-                      static_cast<uint64_t>(group.count));
-    }
-    // Make sure every shard has rows even before any traffic touches it.
-    for (int s = 0; s < storage_->num_shards(); ++s) {
-      snap.AddCounter(mn::Shard(s, "local_fetches"), 0);
-      snap.AddCounter(mn::Shard(s, "remote_fetches"), 0);
-      snap.AddCounter(mn::Shard(s, "workers"), 0);
-    }
+  // Group sizes per shard; shards without a group (fewer workers than
+  // shards) still get a zero row.
+  for (int s = 0; s < storage_->num_shards(); ++s) {
+    snap.AddCounter(mn::Shard(s, "workers"), 0);
+  }
+  for (const Group& group : groups_) {
+    snap.AddCounter(mn::Shard(static_cast<int>(group.shard), "workers"),
+                    static_cast<uint64_t>(group.count));
   }
   // Disk I/O totals, merged across shard disks by the same name-keyed path
   // the per-file stats use.
-  const storage::DiskManager::Stats disk_io =
-      sharded() ? storage_->MergedStats() : disk_->stats();
+  const storage::DiskManager::Stats disk_io = storage_->MergedStats();
   snap.AddCounter(mn::kDiskPageReads, disk_io.page_reads);
   snap.AddCounter(mn::kDiskPageWrites, disk_io.page_writes);
   // Batched-read slice (DESIGN.md §13): zero rows until a turn replay or
@@ -1149,8 +1082,7 @@ obs::Snapshot QueryService::MetricsSnapshot() const {
   snap.SetGauge(mn::kOpenSessions,
                 static_cast<double>(num_open_sessions()));
   snap.SetGauge(mn::kWallSeconds, uptime_.ElapsedSeconds());
-  snap.SetGauge(mn::kNumShards,
-                sharded() ? static_cast<double>(storage_->num_shards()) : 0);
+  snap.SetGauge(mn::kNumShards, static_cast<double>(storage_->num_shards()));
   return snap;
 }
 
@@ -1169,15 +1101,6 @@ ServiceStats QueryService::Snapshot() const {
 
 void QueryService::ResetStats() {
   registry_.ResetAll();
-  for (const auto& worker : workers_) {
-    if (sharded()) {
-      static_cast<shard::ShardedNetworkReader*>(worker->reader.get())
-          ->ResetShardIoStats();
-      ExpansionExecutor* expansion =
-          worker->expansion_pub.load(std::memory_order_acquire);
-      if (expansion != nullptr) expansion->ResetShardIoStats();
-    }
-  }
   uptime_.Restart();
 }
 

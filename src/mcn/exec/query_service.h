@@ -1,21 +1,20 @@
 // QueryService: the concurrent serving layer above the paper's query
 // processors (DESIGN.md §6, §8, §9). One service owns
 //
-//   * a shared, read-only storage root — either one flat DiskManager or a
-//     shard::ShardedStorage of K per-tile disks, frozen for the service's
+//   * a shared, read-only shard::ShardedStorage of K per-tile disks (K = 1
+//     is the paper's single-disk layout), frozen for the service's
 //     lifetime via BeginConcurrentReads,
-//   * one reader per worker — a BufferPool + NetworkReader in flat mode,
-//     a per-shard pool set (shard::ShardedNetworkReader) in sharded mode —
-//     never shared across threads, and
+//   * one reader per worker — a routing shard::ShardedNetworkReader with
+//     one BufferPool per shard — never shared across threads, and
 //   * shard-affine worker *groups*: each group is its own fixed-size
 //     ThreadPool over a lock-free MPMC queue, bound to one shard. Submit
 //     routes every request to the group owning the query's location (the
 //     routing table), so a query usually expands inside the pools of its
 //     home shard; fetches that escape the tile are counted as remote.
-//     Flat services have exactly one group, which degenerates to the PR-2
-//     behavior. With ServiceOptions::pin_workers, each group's threads are
-//     pinned (best-effort, sched_setaffinity) to a contiguous CPU range —
-//     the placeholder for per-socket NUMA placement.
+//     A K = 1 service has exactly one group. With
+//     ServiceOptions::pin_workers, each group's threads are pinned
+//     (best-effort, sched_setaffinity) to a contiguous CPU range — the
+//     placeholder for per-socket NUMA placement.
 //
 // Every entry point speaks api::QuerySpec (the unified preference-query
 // API, DESIGN.md §9): Submit validates the spec on the executing worker —
@@ -27,9 +26,7 @@
 // unconstrained), and resolves a std::future<QueryResult> carrying the
 // typed result rows, an FNV result hash (byte-identical to a
 // single-threaded run — and to every other shard count K: the parity
-// anchor of the service bench and tests), and per-query stats. The legacy
-// QueryRequest overload converts and forwards; prefer constructing
-// QuerySpec directly.
+// anchor of the service bench and tests), and per-query stats.
 //
 // Streaming incremental sessions (DESIGN.md §9): OpenSession pins an
 // incremental spec to a session — its own LRU pool set, engine and
@@ -68,16 +65,13 @@
 #include "mcn/exec/thread_pool.h"
 #include "mcn/expand/engines.h"
 #include "mcn/graph/location.h"
-#include "mcn/net/network_builder.h"
-#include "mcn/net/network_reader.h"
+#include "mcn/net/landmark_index.h"
 #include "mcn/obs/flight_recorder.h"
 #include "mcn/obs/metrics.h"
 #include "mcn/obs/trace.h"
 #include "mcn/shard/sharded_builder.h"
 #include "mcn/shard/sharded_reader.h"
 #include "mcn/shard/sharded_storage.h"
-#include "mcn/storage/buffer_pool.h"
-#include "mcn/storage/disk_manager.h"
 
 namespace mcn::exec {
 
@@ -109,37 +103,10 @@ const char* StallModelName(StallModel model);  ///< "serial"/"overlapped"
 /// never reused.
 using SessionId = uint64_t;
 
-/// Legacy request shape, kept as a thin shim over api::QuerySpec (the
-/// fields map one to one; ToSpec() is the conversion Submit applies).
-/// Deprecated: construct api::QuerySpec directly — it adds preference
-/// constraints and is what the wire protocol transports.
-struct QueryRequest {
-  QueryKind kind = QueryKind::kSkyline;
-  graph::Location location = graph::Location::AtNode(graph::kInvalidNode);
-  /// Which engine flavor the worker builds for this query. Ignored when
-  /// `parallelism` >= 1: the turn schedule always runs CEA-style caching
-  /// — the worker's plain CachedFetch for inline turns (parallelism 1),
-  /// the striped cache over the probe pool's reader slots beyond that.
-  expand::EngineKind engine = expand::EngineKind::kCea;
-  /// Intra-query d-expansion parallelism (DESIGN.md §7). 0 = classic
-  /// serial probing; 1 = the turn-barrier schedule executed inline;
-  /// > 1 = the same schedule on the worker's probe pool, whose width is
-  /// ServiceOptions::per_query_parallelism (the exact value beyond 1
-  /// does not pick a thread count). Results and logical I/O are
-  /// byte-identical for every value >= 1 by the determinism contract.
-  int parallelism = 0;
-  /// Top-k / incremental only: result count and weighted-sum coefficients
-  /// (size must equal the network's d).
-  int k = 4;
-  std::vector<double> weights;
-
-  api::QuerySpec ToSpec() const;
-};
-
 /// Per-query measurements taken on the executing worker.
 struct QueryStats {
   int worker = -1;
-  int shard = -1;            ///< executing group's home shard (-1 = flat)
+  int shard = -1;            ///< executing group's home shard
   double queue_seconds = 0;  ///< submit -> start of execution
   double exec_seconds = 0;   ///< engine construction + query computation
   /// Modeled I/O time, charged under `stall_model`: misses x
@@ -166,6 +133,10 @@ struct QueryStats {
   double latency_seconds = 0;
   uint64_t buffer_misses = 0;
   uint64_t buffer_accesses = 0;
+  /// Routed record fetches that stayed on the executing group's home shard
+  /// vs crossed a shard boundary (always local when K = 1).
+  uint64_t local_fetches = 0;
+  uint64_t remote_fetches = 0;
   /// Prune-oracle work for this query (skyline + enable_prune_index only):
   /// frontier pops tested against the landmark bound, and the subset cut
   /// before their adjacency probe. buffer_misses includes the index pool's
@@ -204,8 +175,8 @@ struct ServiceOptions {
   size_t queue_capacity = 1024;
   /// LRU frames per worker (the paper's buffer size; see
   /// gen::BufferFrames). Every worker gets the same capacity so per-query
-  /// miss counts match a single-threaded run exactly. In sharded mode the
-  /// budget is split exactly across the worker's K shard pools
+  /// miss counts match a single-threaded run exactly. The budget is split
+  /// exactly across the worker's K shard pools
   /// (shard::SplitFramesAcrossShards — remainder frames are distributed,
   /// not dropped). Sessions get the same budget, so a session stream's
   /// logical I/O matches a local IncrementalTopK run.
@@ -224,11 +195,12 @@ struct ServiceOptions {
   StallModel stall_model = StallModel::kSerial;
   /// Physically replay each turn's drained buffer misses as one
   /// DiskManager::ReadPagesBatch (kIoBatch trace span; mcn.io.batch_*
-  /// counters). Effective only on flat services whose disk has a file
-  /// backend attached (DiskManager::AttachFileBackend) — otherwise a
-  /// silent no-op. Replayed pages double-count in mcn.disk.page_reads
-  /// next to the pool's logical fetches; the batch_* counters isolate
-  /// the batched share.
+  /// counters). Effective only on single-shard (K = 1) services whose
+  /// shard-0 disk has a file backend attached
+  /// (DiskManager::AttachFileBackend) — otherwise a silent no-op.
+  /// Replayed pages double-count in mcn.disk.page_reads next to the
+  /// pool's logical fetches; the batch_* counters isolate the batched
+  /// share.
   bool replay_batch_io = false;
   /// Cross-query result sharing (DESIGN.md §13): > 0 bounds an LRU cache
   /// of finished one-shot results keyed by canonical spec + network
@@ -250,13 +222,12 @@ struct ServiceOptions {
   /// Requests opt in per query via QuerySpec::parallelism.
   /// 1 = turn-schedule requests run inline.
   int per_query_parallelism = 1;
-  /// Sharded mode: how pool_frames_per_worker maps onto a worker's K
-  /// shard pools. true divides the budget evenly (iso-memory comparison
-  /// against the flat layout — total frames constant in K, at the price
-  /// of LRU capacity fragmentation); false gives every shard pool the
-  /// full budget — the per-socket memory model of the ROADMAP, where
-  /// each socket contributes its own DIMMs and aggregate buffer grows
-  /// with K.
+  /// How pool_frames_per_worker maps onto a worker's K shard pools. true
+  /// divides the budget exactly (iso-memory in K — total frames constant,
+  /// at the price of LRU capacity fragmentation); false gives every shard
+  /// pool the full budget — the per-socket memory model, where each
+  /// socket contributes its own DIMMs and aggregate buffer grows with K.
+  /// The two agree at K = 1.
   bool split_pool_across_shards = true;
   /// Best-effort CPU pinning of each shard group's worker threads to a
   /// contiguous CPU range (DESIGN.md §8). A feature flag: refused
@@ -282,8 +253,8 @@ struct ServiceOptions {
   /// owned; must outlive the service.
   obs::FlightRecorder* flight_recorder = nullptr;
   /// Landmark lower-bound pruning (DESIGN.md §12). Opt-in: when true and
-  /// the served network carries a built index (NetworkFiles::landmark /
-  /// ShardedNetworkFiles::landmark), every worker gets a validated
+  /// the served network carries a built index
+  /// (ShardedNetworkFiles::landmark), every worker gets a validated
   /// LandmarkIndexReader (its own small pool, charged separately from the
   /// network pools) and serial skyline queries run with the prune oracle.
   /// Results are byte-identical either way — the index only elides
@@ -296,16 +267,9 @@ struct ServiceOptions {
 /// may be called from any thread; Shutdown from one thread at a time.
 class QueryService {
  public:
-  /// Flat storage: `disk`/`files` describe a fully built network (see
-  /// net::BuildNetwork); `disk` must outlive the service and is frozen
-  /// read-only until the service shuts down. One worker group.
-  static Result<std::unique_ptr<QueryService>> Create(
-      storage::DiskManager* disk, const net::NetworkFiles& files,
-      const ServiceOptions& options);
-
-  /// Sharded storage (DESIGN.md §8): `storage`/`files` describe a built
-  /// sharded network (shard::BuildShardedNetwork); `storage` must outlive
-  /// the service and every shard disk is frozen read-only until shutdown.
+  /// `storage`/`files` describe a built network
+  /// (shard::BuildShardedNetwork, DESIGN.md §8); `storage` must outlive the
+  /// service and every shard disk is frozen read-only until shutdown.
   /// Workers are split into min(K, num_workers) shard-affine groups and
   /// requests are routed to the group owning their location.
   static Result<std::unique_ptr<QueryService>> Create(
@@ -323,9 +287,6 @@ class QueryService {
   /// InvalidArgument result (never a crash). After shutdown the returned
   /// future is immediately ready with a FailedPrecondition result.
   std::future<QueryResult> Submit(api::QuerySpec spec);
-
-  /// Legacy entry point; converts to api::QuerySpec and forwards.
-  std::future<QueryResult> Submit(QueryRequest request);
 
   /// Opens a streaming incremental session for `spec` (kind must be
   /// kIncrementalTopK; the spec's k is advisory only — batch sizes are
@@ -359,14 +320,14 @@ class QueryService {
   /// throw). Idempotent.
   void Shutdown(bool drain = true);
 
-  /// Aggregated service statistics since construction (or ResetStats);
-  /// sharded services also fill ServiceStats::per_shard. A thin view:
+  /// Aggregated service statistics since construction (or ResetStats),
+  /// with one ServiceStats::per_shard row per shard. A thin view:
   /// ServiceStatsFromSnapshot(MetricsSnapshot()).
   ServiceStats Snapshot() const;
 
   /// The full observability snapshot (DESIGN.md §11): every registry
-  /// instrument plus sampled per-shard reader counters, disk I/O totals
-  /// and liveness gauges. This is what api::Server serves for kGetMetrics.
+  /// instrument plus per-shard group sizes, disk I/O totals and liveness
+  /// gauges. This is what api::Server serves for kGetMetrics.
   obs::Snapshot MetricsSnapshot() const;
 
   /// Clears the aggregation and restarts the QPS window. Call only while
@@ -375,12 +336,9 @@ class QueryService {
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
   int num_groups() const { return static_cast<int>(groups_.size()); }
-  bool sharded() const { return storage_ != nullptr; }
   /// The served network's cost dimensionality d (what specs validate
   /// against).
-  int num_costs() const {
-    return sharded() ? sharded_files_.num_costs : files_.num_costs;
-  }
+  int num_costs() const { return files_.num_costs; }
   size_t num_open_sessions() const;
   const ServiceOptions& options() const { return opts_; }
 
@@ -410,10 +368,7 @@ class QueryService {
     SessionId id = 0;
     api::QuerySpec spec;
     int group = 0;  ///< home-shard group index (routing affinity)
-    /// Flat mode only: the pool behind `reader` (sharded readers own
-    /// their per-shard pools).
-    std::unique_ptr<storage::BufferPool> pool MCN_GUARDED_BY(mu);
-    std::unique_ptr<net::NetworkReader> reader MCN_GUARDED_BY(mu);
+    std::unique_ptr<shard::ShardedNetworkReader> reader MCN_GUARDED_BY(mu);
     std::unique_ptr<expand::NnEngine> engine MCN_GUARDED_BY(mu);
     std::unique_ptr<algo::IncrementalTopK> query MCN_GUARDED_BY(mu);
     Mutex mu;  ///< serializes batches on this session
@@ -452,24 +407,16 @@ class QueryService {
     uint64_t cache_epoch = 0;
   };
 
-  /// Per-worker shard: reader (owning its pool set) confined to one worker
-  /// thread. The service aggregation that used to live here (latency
-  /// samples + a mutex-guarded counter block per worker) moved into the
-  /// service's obs::Registry — workers record through shared lock-free
-  /// instruments, slot = worker index (DESIGN.md §11).
+  /// Per-worker state: a reader (owning its per-shard pool set) confined
+  /// to one worker thread. Service aggregation lives in the service's
+  /// obs::Registry — workers record through shared lock-free instruments,
+  /// slot = worker index (DESIGN.md §11).
   struct Worker {
-    /// Flat mode only: the single pool behind `reader` (the reader owns
-    /// its per-shard pools in sharded mode).
-    std::unique_ptr<storage::BufferPool> pool;
-    std::unique_ptr<net::NetworkReader> reader;
-    shard::ShardId home_shard = shard::kInvalidShard;
+    std::unique_ptr<shard::ShardedNetworkReader> reader;
+    shard::ShardId home_shard = 0;
     bool pinned = false;  ///< pin attempted (worker-thread confined)
     /// Intra-query probe rig; only built when per_query_parallelism > 1.
-    /// Owned here, published through `expansion_pub` (release store after
-    /// construction) so MetricsSnapshot can sample its routed-fetch
-    /// counters from other threads without a lock.
     std::unique_ptr<ExpansionExecutor> expansion;
-    std::atomic<ExpansionExecutor*> expansion_pub{nullptr};
     /// Validated landmark-index reader (enable_prune_index and a present
     /// index only); worker-thread confined like `reader`. Owns its own
     /// small pool — see net::kLandmarkPoolFrames.
@@ -497,15 +444,18 @@ class QueryService {
     obs::Counter* stall_micros = nullptr;
     obs::Counter* queue_micros = nullptr;
     obs::Histogram* latency_us = nullptr;
-    /// Sharded services: per-shard completion/miss attribution.
+    /// Per-shard completion, miss and routed-fetch attribution, indexed by
+    /// the executing group's home shard.
     std::vector<obs::Counter*> shard_completed;
     std::vector<obs::Counter*> shard_misses;
+    std::vector<obs::Counter*> shard_local_fetches;
+    std::vector<obs::Counter*> shard_remote_fetches;
   };
 
   /// One shard-affine worker group: a slice [base, base + count) of
   /// workers_ executing its own ThreadPool.
   struct Group {
-    shard::ShardId shard = 0;  ///< home shard (group index; flat: 0)
+    shard::ShardId shard = 0;  ///< home shard (== group index)
     int base = 0;
     int count = 0;
     std::unique_ptr<ThreadPool<Task>> pool;
@@ -514,19 +464,17 @@ class QueryService {
     std::unique_ptr<std::atomic<int64_t>> inflight;
   };
 
-  QueryService(storage::DiskManager* disk, shard::ShardedStorage* storage,
-               const net::NetworkFiles& files,
-               const shard::ShardedNetworkFiles& sharded_files,
+  QueryService(shard::ShardedStorage* storage,
+               const shard::ShardedNetworkFiles& files,
                const ServiceOptions& options);
 
   void StartGroups();
   /// Builds one reader over the service's storage with the per-worker
-  /// pool budget — the single construction path for worker and session
-  /// readers. Flat mode materializes the backing pool into `flat_pool`;
-  /// sharded readers own their per-shard pools.
-  std::unique_ptr<net::NetworkReader> MakeReader(
-      std::unique_ptr<storage::BufferPool>* flat_pool) const;
-  /// The group index owning `location` under the routing table (flat: 0).
+  /// pool budget, bound to `home` — the single construction path for
+  /// worker and session readers.
+  std::unique_ptr<shard::ShardedNetworkReader> MakeReader(
+      shard::ShardId home) const;
+  /// The group index owning `location` under the routing table.
   int RouteGroupIndex(const graph::Location& location) const;
 
   /// Enqueues `task` on `group`, resolving the future immediately when
@@ -555,10 +503,8 @@ class QueryService {
   /// every session is busy.
   bool MakeSessionRoom() MCN_REQUIRES(sessions_mu_);
 
-  storage::DiskManager* disk_ = nullptr;        ///< flat mode
-  shard::ShardedStorage* storage_ = nullptr;    ///< sharded mode
-  net::NetworkFiles files_;                     ///< flat mode
-  shard::ShardedNetworkFiles sharded_files_;    ///< sharded mode
+  shard::ShardedStorage* storage_;
+  shard::ShardedNetworkFiles files_;
   ServiceOptions opts_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<Group> groups_;

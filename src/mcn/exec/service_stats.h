@@ -30,7 +30,7 @@ inline double PercentileSorted(const std::vector<double>& sorted, double p) {
   return sorted[rank];
 }
 
-/// One shard's slice of a sharded service's aggregation (DESIGN.md §8):
+/// One shard's slice of the service aggregation (DESIGN.md §8):
 /// what the shard's worker group completed and how often its fetches
 /// stayed on the home shard vs crossed a boundary.
 struct ShardServiceStats {
@@ -90,7 +90,7 @@ struct ServiceStats {
   double latency_p95_ms = 0;
   double latency_p99_ms = 0;
   double qps = 0;  ///< (completed + failed) / wall_seconds
-  /// Sharded services only (one row per shard); empty on flat services.
+  /// One row per shard (a single row when K = 1).
   std::vector<ShardServiceStats> per_shard;
 
   /// Fills the percentile fields from raw latency samples (milliseconds).

@@ -1,10 +1,10 @@
 // Fixed-size thread-pool executor over the lock-free MpmcQueue.
 //
-// The pool is templated on the task type so move-only payloads (e.g. a
-// QueryRequest bundled with its std::promise) ride the queue without
+// The pool is templated on the task type so move-only payloads (e.g. an
+// api::QuerySpec bundled with its std::promise) ride the queue without
 // type-erasure allocations; one Runner functor, supplied at construction,
 // executes every task and receives the worker index so callers can keep
-// per-worker state (the QueryService's per-worker BufferPool/NetworkReader).
+// per-worker state (the QueryService's per-worker ShardedNetworkReader).
 //
 // Blocking is layered over the lock-free ring with two counting semaphores
 // (items/spaces) — the queue operations themselves stay lock-free, the

@@ -33,13 +33,6 @@ std::string ExperimentConfig::ToString() const {
   return s;
 }
 
-void Instance::ResetIoState() {
-  pool->Clear();
-  pool->ResetStats();
-  if (landmark_reader != nullptr) landmark_reader->ResetIoState();
-  disk.ResetStats();
-}
-
 size_t BufferFrames(double buffer_pct, uint64_t total_pages) {
   MCN_CHECK(buffer_pct >= 0.0);
   return static_cast<size_t>(
@@ -53,9 +46,9 @@ struct Generated {
   graph::FacilitySet facilities;
 };
 
-// Shared by the flat and sharded builders: the generated network is a
-// function of the config alone, so the two layouts of one config hold the
-// same data and their query results are comparable byte for byte.
+// The generated network is a function of the config alone, so the layouts
+// of one config for different K hold the same data and their query results
+// are comparable byte for byte.
 Result<Generated> GenerateGraphAndFacilities(const ExperimentConfig& config) {
   Random rng(config.seed);
 
@@ -83,35 +76,6 @@ Result<Generated> GenerateGraphAndFacilities(const ExperimentConfig& config) {
 
 }  // namespace
 
-Result<std::unique_ptr<Instance>> BuildInstance(
-    const ExperimentConfig& config) {
-  MCN_ASSIGN_OR_RETURN(Generated gen, GenerateGraphAndFacilities(config));
-  auto instance = std::make_unique<Instance>(std::move(gen.graph),
-                                             std::move(gen.facilities));
-  MCN_ASSIGN_OR_RETURN(
-      instance->files,
-      net::BuildNetwork(&instance->disk, instance->graph,
-                        instance->facilities));
-  size_t frames = BufferFrames(config.buffer_pct, instance->files.total_pages);
-  instance->pool =
-      std::make_unique<storage::BufferPool>(&instance->disk, frames);
-  instance->reader = std::make_unique<net::NetworkReader>(
-      instance->files, instance->pool.get());
-  if (config.landmarks > 0) {
-    const std::vector<graph::NodeId> landmarks = net::SelectLandmarks(
-        instance->graph, config.landmarks, /*num_shards=*/1, {});
-    MCN_ASSIGN_OR_RETURN(
-        instance->files.landmark,
-        net::BuildLandmarkIndex(&instance->disk, instance->graph, landmarks,
-                                "landmark_index"));
-    instance->landmark_reader = std::make_unique<net::LandmarkIndexReader>(
-        &instance->disk, instance->files.landmark);
-    MCN_RETURN_IF_ERROR(instance->landmark_reader->Validate());
-  }
-  instance->disk.ResetStats();  // build-time writes are not query I/O
-  return instance;
-}
-
 Result<std::unique_ptr<ShardedInstance>> BuildShardedInstance(
     const ExperimentConfig& config, int num_shards,
     const shard::Partitioner* partitioner) {
@@ -136,8 +100,9 @@ Result<std::unique_ptr<ShardedInstance>> BuildShardedInstance(
       shard::SplitFramesAcrossShards(instance->pool_frames,
                                      instance->storage.num_shards()));
   if (config.landmarks > 0) {
-    // One global index with a boundary-biased, per-shard landmark quota;
-    // the row file lives on shard 0's disk.
+    // One global index with a boundary-biased, per-shard landmark quota
+    // (K = 1: plain farthest-point sampling over every node); the row file
+    // lives on shard 0's disk.
     const shard::Partition& part = instance->storage.partition();
     const std::vector<graph::NodeId> landmarks = net::SelectLandmarks(
         instance->graph, config.landmarks, part.num_shards, part.node_shard);

@@ -1,8 +1,9 @@
 // Workload assembly: the paper's experiment configuration (§VI) turned into
 // a built, disk-resident instance — generated road network + clustered
-// facilities, written through the Fig. 2 storage scheme, fronted by an LRU
-// buffer sized as a percentage of the network's pages. Shared by the
-// benchmark harness, the integration tests and the examples.
+// facilities, written through the Fig. 2 storage scheme onto K shard disks
+// (K = 1: the paper's single disk), fronted by an LRU buffer sized as a
+// percentage of the network's pages. Shared by the benchmark harness, the
+// tests and the examples.
 #ifndef MCN_GEN_WORKLOAD_H_
 #define MCN_GEN_WORKLOAD_H_
 
@@ -18,14 +19,11 @@
 #include "mcn/graph/location.h"
 #include "mcn/graph/multi_cost_graph.h"
 #include "mcn/net/landmark_index.h"
-#include "mcn/net/network_builder.h"
 #include "mcn/net/network_reader.h"
 #include "mcn/shard/partition.h"
 #include "mcn/shard/sharded_builder.h"
 #include "mcn/shard/sharded_reader.h"
 #include "mcn/shard/sharded_storage.h"
-#include "mcn/storage/buffer_pool.h"
-#include "mcn/storage/disk_manager.h"
 
 namespace mcn::gen {
 
@@ -50,42 +48,15 @@ struct ExperimentConfig {
   std::string ToString() const;
 };
 
-/// A fully built instance (heap-allocated: the pool and reader hold
-/// pointers into it).
-struct Instance {
-  Instance(graph::MultiCostGraph g, graph::FacilitySet f)
-      : graph(std::move(g)), facilities(std::move(f)) {}
-
-  graph::MultiCostGraph graph;
-  graph::FacilitySet facilities;
-  storage::DiskManager disk;
-  net::NetworkFiles files;
-  std::unique_ptr<storage::BufferPool> pool;
-  std::unique_ptr<net::NetworkReader> reader;
-  /// Validated index reader when the config asked for landmarks; null
-  /// otherwise. Owns its own pool — main-pool stats are unaffected.
-  std::unique_ptr<net::LandmarkIndexReader> landmark_reader;
-
-  /// Uniform random query location (paper: uniform over the network).
-  graph::Location RandomQueryLocation(Random& rng) const {
-    return RandomLocation(graph, rng);
-  }
-
-  /// Resets buffer contents and all I/O statistics (between runs).
-  void ResetIoState();
-};
-
 /// Buffer capacity in frames for a percentage of `total_pages`.
 size_t BufferFrames(double buffer_pct, uint64_t total_pages);
 
-/// Generates, builds and wires up an instance.
-Result<std::unique_ptr<Instance>> BuildInstance(
-    const ExperimentConfig& config);
-
-/// A sharded-build instance (DESIGN.md §8): the same generated graph and
-/// facility set as BuildInstance for the same config (generation precedes
-/// partitioning, so results are comparable across K), laid out as K
-/// per-shard file sets with a driver-thread routing reader on top.
+/// A fully built instance (heap-allocated: the reader holds pointers into
+/// it): the generated graph and facility set, laid out as K per-shard file
+/// sets (DESIGN.md §8) with a driver-thread routing reader on top. K = 1 is
+/// the paper's single-disk layout. Generation precedes partitioning, so
+/// one config yields the same network — and the same query results — for
+/// every K.
 struct ShardedInstance {
   ShardedInstance(graph::MultiCostGraph g, graph::FacilitySet f,
                   shard::Partition partition)
@@ -97,19 +68,22 @@ struct ShardedInstance {
   graph::FacilitySet facilities;
   shard::ShardedStorage storage;
   shard::ShardedNetworkFiles files;
-  /// Per-shard pool set sized like Instance::pool split across shards.
+  /// Per-shard pool set: the config's buffer (BufferFrames) split across
+  /// the shards.
   std::unique_ptr<shard::ShardedNetworkReader> reader;
   /// Validated reader over the global landmark index (file on shard 0's
   /// disk) when the config asked for landmarks; null otherwise.
   std::unique_ptr<net::LandmarkIndexReader> landmark_reader;
-  /// Flat-equivalent frame budget (BufferFrames of the config), before
-  /// the per-shard split — what service/executor callers should pass on.
+  /// The whole frame budget (BufferFrames of the config), before the
+  /// per-shard split — what service/executor callers should pass on.
   size_t pool_frames = 0;
 
+  /// Uniform random query location (paper: uniform over the network).
   graph::Location RandomQueryLocation(Random& rng) const {
     return RandomLocation(graph, rng);
   }
 
+  /// Resets buffer contents and all I/O statistics (between runs).
   void ResetIoState() {
     reader->ResetIoState();
     reader->ResetShardIoStats();
@@ -118,8 +92,9 @@ struct ShardedInstance {
   }
 };
 
-/// Generates (identically to BuildInstance), partitions with `partitioner`
-/// (default: shard::GridTilePartitioner) and builds the sharded layout.
+/// Generates the network of `config`, partitions it into `num_shards`
+/// shards with `partitioner` (default: shard::GridTilePartitioner) and
+/// builds the sharded layout.
 Result<std::unique_ptr<ShardedInstance>> BuildShardedInstance(
     const ExperimentConfig& config, int num_shards,
     const shard::Partitioner* partitioner = nullptr);

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "mcn/common/result.h"
-#include "mcn/net/network_builder.h"
+#include "mcn/net/network_reader.h"
 
 namespace mcn::net {
 

@@ -57,7 +57,7 @@ std::vector<graph::NodeId> SelectLandmarks(
   // Candidate pools, one per shard. With a real partition the pool is the
   // shard's boundary nodes (endpoints of cross-shard edges) — the nodes
   // remote expansions enter through — falling back to all of the shard's
-  // nodes when it has no boundary. Unsharded: one pool of every node.
+  // nodes when it has no boundary. K = 1: one pool of every node.
   const bool sharded = num_shards > 1 && node_shard.size() == n;
   const int groups = sharded ? num_shards : 1;
   std::vector<std::vector<graph::NodeId>> pools(groups);

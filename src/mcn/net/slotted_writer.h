@@ -1,9 +1,8 @@
 // SlottedFileWriter: appends variable-size records into consecutive slotted
 // pages of a DiskManager file, flushing a page when the next record does not
-// fit. Shared by the flat NetworkBuilder and the sharded build path
-// (shard/sharded_builder.cc), which lay the same records into different
-// file sets. Build-time writes go straight to the DiskManager — load cost
-// is not query cost.
+// fit. Used by the build path (shard/sharded_builder.cc), which lays each
+// shard's records into its own file set. Build-time writes go straight to
+// the DiskManager — load cost is not query cost.
 #ifndef MCN_NET_SLOTTED_WRITER_H_
 #define MCN_NET_SLOTTED_WRITER_H_
 

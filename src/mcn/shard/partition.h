@@ -93,7 +93,7 @@ class GridTilePartitioner : public Partitioner {
   int cells_per_side_;
 };
 
-/// The K = 1 identity partition (today's unsharded layout).
+/// The K = 1 identity partition: the paper's single-disk layout.
 Partition SingleShardPartition(uint32_t num_nodes);
 
 }  // namespace mcn::shard

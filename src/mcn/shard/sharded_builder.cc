@@ -163,8 +163,6 @@ Result<ShardedNetworkFiles> BuildShardedNetwork(
 
   for (ShardId s = 0; s < static_cast<ShardId>(k); ++s) {
     net::NetworkFiles& nf = files.shards[s];
-    // Same creation order as the flat builder, so K = 1 reproduces its
-    // file ids and page images exactly.
     nf.facility_file = storage->disk(s)->CreateFile("facility_file");
     nf.adjacency_file = storage->disk(s)->CreateFile("adjacency_file");
     nf.num_nodes = graph.num_nodes();  // global: range checks stay global
@@ -172,9 +170,9 @@ Result<ShardedNetworkFiles> BuildShardedNetwork(
   }
   std::vector<storage::FileId> adj_tree_files(k), fac_tree_files(k);
 
-  // 1. Facility files: one record per facility-carrying edge, flat edge
-  //    order, routed to the edge's owner shard. The FacRef positions are
-  //    shard-local; adjacency entries of *any* shard embed them (a
+  // 1. Facility files: one record per facility-carrying edge, in global
+  //    edge order, routed to the edge's owner shard. The FacRef positions
+  //    are shard-local; adjacency entries of *any* shard embed them (a
   //    boundary edge's facility record lives with its owner).
   std::unordered_map<graph::EdgeId, net::FacRef> edge_fac_refs;
   {
@@ -209,9 +207,9 @@ Result<ShardedNetworkFiles> BuildShardedNetwork(
     for (auto& writer : writers) MCN_RETURN_IF_ERROR(writer->Finish());
   }
 
-  // 2. Adjacency files: one record per node, flat node order, routed to
-  //    the node's shard. Record contents (entries, FacRefs, costs) match
-  //    the flat build byte for byte.
+  // 2. Adjacency files: one record per node, in global node order, routed
+  //    to the node's shard. Record contents (entries, costs) are the same
+  //    for every K; only FacRef positions are shard-local.
   std::vector<std::vector<index::BPlusTree::Entry>> adj_tree_entries(k);
   {
     std::vector<std::unique_ptr<net::SlottedFileWriter>> writers;

@@ -1,6 +1,6 @@
-// Sharded build path (DESIGN.md §8): materializes a MultiCostGraph +
-// FacilitySet as K per-shard file sets on a ShardedStorage, mirroring the
-// flat net::BuildNetwork scheme shard-wise:
+// Build path (DESIGN.md §8): materializes a MultiCostGraph + FacilitySet
+// as the paper's Fig. 2 storage scheme, laid out as K per-shard file sets
+// on a ShardedStorage:
 //
 //   per shard: facility_file, adjacency_file, adjacency_tree,
 //              facility_tree  (exactly the Fig. 2 quartet, holding only
@@ -12,11 +12,11 @@
 //              tables as raw pages, so a sharded database image is
 //              self-describing across processes.
 //
-// Record *contents* are byte-identical to the flat build (only page
-// placement and FacRef positions differ), which is what makes result
-// hashes and logical/physical record-fetch counts invariant in K — the
-// determinism contract the differential sweep enforces. With K = 1 the
-// four query files are page-for-page identical to net::BuildNetwork.
+// Record *contents* are byte-identical for every K (only page placement
+// and FacRef positions differ), which is what makes result hashes and
+// logical/physical record-fetch counts invariant in K — the determinism
+// contract the differential sweep enforces. K = 1 is the single-disk
+// layout: every record in node/edge order on one disk.
 #ifndef MCN_SHARD_SHARDED_BUILDER_H_
 #define MCN_SHARD_SHARDED_BUILDER_H_
 
@@ -26,7 +26,7 @@
 #include "mcn/common/result.h"
 #include "mcn/graph/facility.h"
 #include "mcn/graph/multi_cost_graph.h"
-#include "mcn/net/network_builder.h"
+#include "mcn/net/network_reader.h"
 #include "mcn/shard/partition.h"
 #include "mcn/shard/sharded_storage.h"
 
@@ -74,14 +74,14 @@ struct ShardedNetworkFiles {
   uint32_t num_facilities = 0;
   int num_costs = 0;
   /// Query-file pages (the four Fig. 2 files) summed over shards; the LRU
-  /// buffer is sized from this, exactly like the flat total_pages.
+  /// buffer is sized from this (gen::BufferFrames).
   uint64_t total_pages = 0;
   uint32_t num_boundary_edges = 0;
 
   /// Optional landmark lower-bound index (DESIGN.md §12). One *global*
   /// index whose file lives on shard 0's disk (landmark selection is
   /// boundary-biased per shard, but rows cover every node). Excluded from
-  /// total_pages like the flat field.
+  /// total_pages, so index-on and index-off runs size the pools alike.
   net::LandmarkIndexFiles landmark;
 
   int num_shards() const { return static_cast<int>(shards.size()); }
@@ -99,9 +99,11 @@ struct ShardedNetworkFiles {
   }
 };
 
-/// Writes the sharded storage scheme for `graph` + `facilities` onto
-/// `storage` (whose partition decides ownership). Every shard's disk must
-/// be empty. Same preconditions as net::BuildNetwork.
+/// Writes the storage scheme for `graph` + `facilities` onto `storage`
+/// (whose partition decides ownership). Every shard's disk must be empty,
+/// and both inputs must be finalized. Build-time writes bypass the buffer
+/// pool (load cost is not query cost). Fails if a node's adjacency record
+/// or an edge's facility record would exceed one page.
 Result<ShardedNetworkFiles> BuildShardedNetwork(
     ShardedStorage* storage, const graph::MultiCostGraph& graph,
     const graph::FacilitySet& facilities);

@@ -1,17 +1,11 @@
 #include "mcn/shard/sharded_reader.h"
 
+#include <algorithm>
 #include <string>
 
 #include "mcn/common/macros.h"
 
 namespace mcn::shard {
-
-size_t FramesPerShard(size_t total_frames, int num_shards) {
-  MCN_CHECK(num_shards > 0);
-  if (total_frames == 0) return 0;
-  const size_t per_shard = total_frames / static_cast<size_t>(num_shards);
-  return per_shard > 0 ? per_shard : 1;
-}
 
 std::vector<size_t> SplitFramesAcrossShards(size_t total_frames,
                                             int num_shards) {
@@ -31,20 +25,12 @@ std::vector<size_t> SplitFramesAcrossShards(size_t total_frames,
 
 ShardedNetworkReader::ShardedNetworkReader(ShardedStorage* storage,
                                            const ShardedNetworkFiles& files,
-                                           size_t frames_per_shard)
-    : ShardedNetworkReader(
-          storage, files,
-          std::vector<size_t>(static_cast<size_t>(files.num_shards()),
-                              frames_per_shard)) {}
-
-ShardedNetworkReader::ShardedNetworkReader(ShardedStorage* storage,
-                                           const ShardedNetworkFiles& files,
                                            const std::vector<size_t>& frames)
     : net::NetworkReader(files.Global()),
       storage_(storage),
       partition_(&storage->partition()),
       facility_shard_(&files.facility_shard),
-      fetches_to_shard_(files.num_shards()) {
+      io_{0, 0, std::vector<uint64_t>(files.shards.size(), 0)} {
   MCN_CHECK(storage != nullptr);
   MCN_CHECK(files.num_shards() == storage->num_shards());
   MCN_CHECK(frames.size() == static_cast<size_t>(files.num_shards()));
@@ -57,7 +43,7 @@ ShardedNetworkReader::ShardedNetworkReader(ShardedStorage* storage,
     readers_.push_back(std::make_unique<net::NetworkReader>(
         files.shards[s], pools_.back().get()));
     // This routing layer records the per-fetch trace events itself (it
-    // knows the local/remote flag); suppress the inner flat readers so a
+    // knows the local/remote flag); suppress the inner readers so a
     // routed fetch yields exactly one kProbeFetch event.
     readers_.back()->set_trace_fetches(false);
   }
@@ -102,11 +88,11 @@ class ShardedNetworkReader::FetchTrace {
 
 ShardId ShardedNetworkReader::Route(ShardId target) const {
   MCN_DCHECK(target < readers_.size());
-  fetches_to_shard_[target].fetch_add(1, std::memory_order_relaxed);
+  ++io_.fetches_to_shard[target];
   if (home_shard_ != kInvalidShard && target != home_shard_) {
-    remote_fetches_.fetch_add(1, std::memory_order_relaxed);
+    ++io_.remote_fetches;
   } else {
-    local_fetches_.fetch_add(1, std::memory_order_relaxed);
+    ++io_.local_fetches;
   }
   return target;
 }
@@ -128,7 +114,7 @@ Status ShardedNetworkReader::GetFacilities(
     std::vector<net::FacilityOnEdge>* out) const {
   if (ref.empty()) {
     out->clear();
-    return Status::OK();  // no record to route (flat reader contract)
+    return Status::OK();  // no record to route (base reader contract)
   }
   if (edge.u >= num_nodes()) {
     return Status::InvalidArgument("GetFacilities: edge out of range");
@@ -168,25 +154,10 @@ void ShardedNetworkReader::ResetIoState() {
   }
 }
 
-ShardedNetworkReader::ShardIoStats ShardedNetworkReader::shard_io_stats()
-    const {
-  ShardIoStats stats;
-  stats.local_fetches = local_fetches_.load(std::memory_order_relaxed);
-  stats.remote_fetches = remote_fetches_.load(std::memory_order_relaxed);
-  stats.fetches_to_shard.reserve(fetches_to_shard_.size());
-  for (const auto& counter : fetches_to_shard_) {
-    stats.fetches_to_shard.push_back(
-        counter.load(std::memory_order_relaxed));
-  }
-  return stats;
-}
-
 void ShardedNetworkReader::ResetShardIoStats() {
-  local_fetches_.store(0, std::memory_order_relaxed);
-  remote_fetches_.store(0, std::memory_order_relaxed);
-  for (auto& counter : fetches_to_shard_) {
-    counter.store(0, std::memory_order_relaxed);
-  }
+  io_.local_fetches = 0;
+  io_.remote_fetches = 0;
+  std::fill(io_.fetches_to_shard.begin(), io_.fetches_to_shard.end(), 0);
 }
 
 }  // namespace mcn::shard

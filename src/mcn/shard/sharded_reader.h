@@ -1,8 +1,9 @@
 // ShardedNetworkReader: the routing implementation of the NetworkReader
-// seam (DESIGN.md §8). One instance is a *per-worker* reader set: it owns
-// one BufferPool per shard (each over that shard's DiskManager) plus a
-// flat per-shard NetworkReader, and dispatches every record request
-// through the routing table:
+// seam (DESIGN.md §8) and the one reader the query stack runs on. One
+// instance is a *per-worker* reader set: it owns one BufferPool per shard
+// (each over that shard's DiskManager) plus a per-shard NetworkReader, and
+// dispatches every record request through the routing table (K = 1: every
+// request goes to shard 0):
 //
 //   GetAdjacency(v)         -> shard of v          (NodeId table)
 //   GetFacilities(edge,...) -> shard of edge.u     (edge ownership rule)
@@ -12,17 +13,15 @@
 // owning worker is bound to, or the shard of the query's location). Every
 // routed fetch increments either the local or the remote counter — the
 // §2 I/O accounting's measure of how often an expansion escapes its tile.
-// Counters are relaxed atomics so a service Snapshot can read them while
-// the owning worker keeps executing; everything else follows the base
-// contract (one reader per thread).
+// The counters follow the base contract like everything else (one reader
+// per thread): the service reads a task's delta on the thread that ran it.
 //
-// Like the flat reader, record fetches are charged to the (per-shard)
+// Like the per-shard reader, record fetches are charged to the per-shard
 // pools' hit/miss statistics; PoolStats()/ResetIoState() aggregate over
 // the shard set so callers stay oblivious to K.
 #ifndef MCN_SHARD_SHARDED_READER_H_
 #define MCN_SHARD_SHARDED_READER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -49,15 +48,9 @@ class ShardedNetworkReader : public net::NetworkReader {
   };
 
   /// `storage`/`files` describe a built sharded network; both must outlive
-  /// the reader. `frames_per_shard` sizes each shard's LRU pool — callers
-  /// splitting a flat budget B across K shards pass
-  /// SplitFramesAcrossShards(B, K) to the vector overload below so no
-  /// remainder frames are dropped.
-  ShardedNetworkReader(ShardedStorage* storage,
-                       const ShardedNetworkFiles& files,
-                       size_t frames_per_shard);
-  /// Per-shard pool sizes (`frames[s]` frames for shard s); `frames` must
-  /// have one entry per shard.
+  /// the reader. `frames[s]` sizes shard s's LRU pool (one entry per
+  /// shard) — callers splitting a budget B across K shards pass
+  /// SplitFramesAcrossShards(B, K) so no remainder frames are dropped.
   ShardedNetworkReader(ShardedStorage* storage,
                        const ShardedNetworkFiles& files,
                        const std::vector<size_t>& frames);
@@ -80,12 +73,10 @@ class ShardedNetworkReader : public net::NetworkReader {
   storage::BufferPool::Stats PoolStats() const override;
   void ResetIoState() override;
 
-  ShardIoStats shard_io_stats() const;
+  const ShardIoStats& shard_io_stats() const { return io_; }
   void ResetShardIoStats();
 
-  const storage::BufferPool& shard_pool(ShardId s) const {
-    return *pools_[s];
-  }
+  storage::BufferPool* shard_pool(ShardId s) const { return pools_[s].get(); }
 
  private:
   class FetchTrace;  ///< per-routed-fetch kProbeFetch recorder (see .cc)
@@ -102,19 +93,10 @@ class ShardedNetworkReader : public net::NetworkReader {
   std::vector<std::unique_ptr<net::NetworkReader>> readers_;
   ShardId home_shard_ = kInvalidShard;
 
-  mutable std::atomic<uint64_t> local_fetches_{0};
-  mutable std::atomic<uint64_t> remote_fetches_{0};
-  mutable std::vector<std::atomic<uint64_t>> fetches_to_shard_;
+  mutable ShardIoStats io_;  ///< routed-fetch counters (Route)
 };
 
-/// Even split of a flat frame budget across K shard pools (at least one
-/// frame each when the budget is non-zero, so tiny buffers stay usable).
-/// Deprecated in favor of SplitFramesAcrossShards: the floored division
-/// silently drops up to K-1 remainder frames, shrinking the effective
-/// buffer of non-divisible budgets.
-size_t FramesPerShard(size_t total_frames, int num_shards);
-
-/// Exact split of a flat frame budget across K shard pools: shard s gets
+/// Exact split of a frame budget across K shard pools: shard s gets
 /// total/K frames plus one of the total%K remainder frames (s < total%K),
 /// so the sum equals `total_frames` whenever total_frames >= K. Budgets
 /// smaller than K keep the one-frame floor (every pool must be usable), the

@@ -1,11 +1,11 @@
-// ShardedStorage: the per-shard storage root (DESIGN.md §8). One instance
-// owns K DiskManagers — one simulated disk per network shard — plus the
-// Partition routing table that maps every NodeId to its owning shard. The
-// sharded build path (sharded_builder.h) lays each tile's pages into its
+// ShardedStorage: the storage root of a built network (DESIGN.md §8). One
+// instance owns K DiskManagers — one simulated disk per network shard —
+// plus the Partition routing table that maps every NodeId to its owning
+// shard. The build path (sharded_builder.h) lays each tile's pages into its
 // shard's disk; readers route each fetch through the table.
 //
-// K = 1 degenerates to today's single-manager layout: one disk, identical
-// page images to the flat net::BuildNetwork (asserted by the shard tests).
+// K = 1 (shard::SingleShardPartition) is the paper's single-disk layout:
+// one disk holding the whole Fig. 2 file set.
 //
 // Concurrency: same single-writer/multi-reader contract as DiskManager,
 // applied shard-wise. Begin/EndConcurrentReads freeze every shard at once.

@@ -1,7 +1,7 @@
-// Conventional top-k algorithms over materialized tuples (paper §II-B):
-// Fagin's Threshold Algorithm (TA) with random accesses, and a
-// no-random-access variant. Both assume an increasingly monotone aggregate
-// and minimize it (the paper's convention: lower aggregate cost is better).
+// Conventional top-k over materialized tuples (paper §II-B): Fagin's
+// Threshold Algorithm (TA) with random accesses. It assumes an increasingly
+// monotone aggregate and minimizes it (the paper's convention: lower
+// aggregate cost is better).
 #ifndef MCN_TOPK_TOPK_H_
 #define MCN_TOPK_TOPK_H_
 
@@ -34,21 +34,6 @@ struct TaStats {
 std::vector<RankedItem> ThresholdAlgorithm(
     std::span<const skyline::Tuple> data, const algo::AggregateFn& f, int k,
     TaStats* stats = nullptr);
-
-struct NraStats {
-  uint64_t sorted_accesses = 0;
-  uint64_t rounds = 0;
-};
-
-/// No-random-access top-k for minimization: only sorted accesses; an item is
-/// reported once fully seen and no other (seen-incomplete or unseen) item's
-/// frontier-based lower bound can beat the current k-th complete score.
-/// (Classic NRA bounds both sides on a finite domain; with unbounded costs
-/// only fully-seen items can be emitted — same safety logic as the paper's
-/// incremental MCN top-k.)
-std::vector<RankedItem> NoRandomAccessTopK(
-    std::span<const skyline::Tuple> data, const algo::AggregateFn& f, int k,
-    NraStats* stats = nullptr);
 
 /// Reference: full scan + sort (tests, baselines).
 std::vector<RankedItem> BruteForceTopK(std::span<const skyline::Tuple> data,

@@ -1,8 +1,9 @@
 // Unified-API service tests (DESIGN.md §9): QuerySpec submission parity
-// with the legacy QueryRequest path, Status-based rejection of malformed
-// specs (no worker crashes), preference-constraint semantics, and the
-// streaming incremental session lifecycle — local-iterator parity, bounded
-// session table with LRU + idle eviction, close/unknown-id behavior.
+// between field-wise and convenience-built specs, Status-based rejection
+// of malformed specs (no worker crashes), preference-constraint semantics,
+// and the streaming incremental session lifecycle — local-iterator parity,
+// bounded session table with LRU + idle eviction, close/unknown-id
+// behavior.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +29,7 @@ namespace mcn::exec {
 namespace {
 
 struct ApiFixture {
-  std::unique_ptr<gen::Instance> instance;
+  std::unique_ptr<gen::ShardedInstance> instance;
   size_t frames = 0;
 
   explicit ApiFixture(uint64_t seed = 11) {
@@ -37,7 +38,7 @@ struct ApiFixture {
     auto built = test::MakeSmallInstance(config);
     EXPECT_TRUE(built.ok());
     instance = std::move(built).value();
-    frames = instance->pool->capacity();
+    frames = instance->pool_frames;
   }
 
   ServiceOptions Options(int workers) const {
@@ -59,8 +60,8 @@ struct ApiFixture {
   /// IncrementalTopK over its own engine + pool of the same capacity.
   std::vector<algo::TopKEntry> LocalStream(const api::QuerySpec& spec,
                                            int limit) {
-    storage::BufferPool pool(&instance->disk, frames);
-    net::NetworkReader reader(instance->files, &pool);
+    shard::ShardedNetworkReader reader(&instance->storage, instance->files,
+                                       {frames});
     auto engine = expand::MakeEngine(spec.engine, &reader, spec.location);
     EXPECT_TRUE(engine.ok());
     algo::IncrementalTopK query(
@@ -80,34 +81,44 @@ struct ApiFixture {
   }
 };
 
+// The legacy request shape — fields assigned one by one, weights only on
+// the top-k kinds — and the convenience constructors build the same spec,
+// with the same result hash and logical I/O.
 TEST(ApiSpecTest, SpecAndLegacyRequestAreHashIdentical) {
   ApiFixture fx;
-  auto service = QueryService::Create(&fx.instance->disk,
+  auto service = QueryService::Create(&fx.instance->storage,
                                       fx.instance->files, fx.Options(2));
   ASSERT_TRUE(service.ok());
   Random rng(42);
   for (int i = 0; i < 9; ++i) {
-    QueryRequest request;
-    request.location = fx.instance->RandomQueryLocation(rng);
-    request.kind = static_cast<QueryKind>(i % 3);
-    if (request.kind != QueryKind::kSkyline) {
-      request.k = 3;
-      request.weights = test::TestWeights(fx.d(), 77 + i);
+    api::QuerySpec fieldwise;
+    fieldwise.location = fx.instance->RandomQueryLocation(rng);
+    fieldwise.kind = static_cast<QueryKind>(i % 3);
+    api::QuerySpec built = api::SkylineSpec(fieldwise.location);
+    if (fieldwise.kind != QueryKind::kSkyline) {
+      fieldwise.k = 3;
+      fieldwise.preference.weights = test::TestWeights(fx.d(), 77 + i);
+      built = fieldwise.kind == QueryKind::kTopK
+                  ? api::TopKSpec(fieldwise.location, 3,
+                                  fieldwise.preference.weights)
+                  : api::IncrementalSpec(fieldwise.location, 3,
+                                         fieldwise.preference.weights);
     }
-    QueryResult via_request = (*service)->Submit(request).get();
-    QueryResult via_spec = (*service)->Submit(request.ToSpec()).get();
-    ASSERT_TRUE(via_request.status.ok());
-    ASSERT_TRUE(via_spec.status.ok());
-    EXPECT_EQ(via_request.result_hash, via_spec.result_hash);
-    EXPECT_EQ(via_request.stats.buffer_misses,
-              via_spec.stats.buffer_misses);
+    EXPECT_EQ(fieldwise, built);
+    QueryResult via_fields = (*service)->Submit(fieldwise).get();
+    QueryResult via_builder = (*service)->Submit(built).get();
+    ASSERT_TRUE(via_fields.status.ok());
+    ASSERT_TRUE(via_builder.status.ok());
+    EXPECT_EQ(via_fields.result_hash, via_builder.result_hash);
+    EXPECT_EQ(via_fields.stats.buffer_misses,
+              via_builder.stats.buffer_misses);
   }
   (*service)->Shutdown();
 }
 
 TEST(ApiSpecTest, MalformedSpecsRejectedWithStatusNotCrash) {
   ApiFixture fx;
-  auto service = QueryService::Create(&fx.instance->disk,
+  auto service = QueryService::Create(&fx.instance->storage,
                                       fx.instance->files, fx.Options(2));
   ASSERT_TRUE(service.ok());
 
@@ -160,7 +171,7 @@ TEST(ApiSpecTest, MalformedSpecsRejectedWithStatusNotCrash) {
 
 TEST(ApiSpecTest, ConstraintsFilterResultsAndUnconstrainedIsNoOp) {
   ApiFixture fx;
-  auto service = QueryService::Create(&fx.instance->disk,
+  auto service = QueryService::Create(&fx.instance->storage,
                                       fx.instance->files, fx.Options(2));
   ASSERT_TRUE(service.ok());
   const graph::Location loc = fx.Location(9);
@@ -218,7 +229,7 @@ TEST(ApiSpecTest, ConstraintsFilterResultsAndUnconstrainedIsNoOp) {
 
 TEST(ApiSessionTest, SessionReplaysLocalIncrementalIterator) {
   ApiFixture fx;
-  auto service = QueryService::Create(&fx.instance->disk,
+  auto service = QueryService::Create(&fx.instance->storage,
                                       fx.instance->files, fx.Options(3));
   ASSERT_TRUE(service.ok());
 
@@ -252,8 +263,8 @@ TEST(ApiSessionTest, SessionReplaysLocalIncrementalIterator) {
   EXPECT_TRUE(exhausted);
   EXPECT_EQ(algo::HashResult(streamed), algo::HashResult(expected));
 
-  storage::BufferPool pool(&fx.instance->disk, fx.frames);
-  net::NetworkReader reader(fx.instance->files, &pool);
+  shard::ShardedNetworkReader reader(&fx.instance->storage, fx.instance->files,
+                                     {fx.frames});
   auto engine = expand::MakeEngine(spec.engine, &reader, spec.location);
   ASSERT_TRUE(engine.ok());
   algo::IncrementalTopK local(engine.value().get(),
@@ -263,7 +274,7 @@ TEST(ApiSessionTest, SessionReplaysLocalIncrementalIterator) {
     ASSERT_TRUE(next.ok());
     if (!next.value().has_value()) break;
   }
-  EXPECT_EQ(streamed_misses, pool.stats().misses);
+  EXPECT_EQ(streamed_misses, reader.PoolStats().misses);
 
   // Past exhaustion: empty OK batches forever, never an error.
   QueryResult after = (*service)->SessionNext(*session, 5).get();
@@ -280,7 +291,7 @@ TEST(ApiSessionTest, SessionReplaysLocalIncrementalIterator) {
 
 TEST(ApiSessionTest, ConstrainedSessionStillFillsBatches) {
   ApiFixture fx;
-  auto service = QueryService::Create(&fx.instance->disk,
+  auto service = QueryService::Create(&fx.instance->storage,
                                       fx.instance->files, fx.Options(2));
   ASSERT_TRUE(service.ok());
 
@@ -320,7 +331,7 @@ TEST(ApiSessionTest, SessionTableBoundsAndLruEviction) {
   ApiFixture fx;
   ServiceOptions opts = fx.Options(2);
   opts.max_sessions = 2;
-  auto service = QueryService::Create(&fx.instance->disk,
+  auto service = QueryService::Create(&fx.instance->storage,
                                       fx.instance->files, opts);
   ASSERT_TRUE(service.ok());
   auto spec = [&](uint64_t salt) {
@@ -357,7 +368,7 @@ TEST(ApiSessionTest, IdleSessionsAreEvictedLazily) {
   ServiceOptions opts = fx.Options(2);
   opts.max_sessions = 2;
   opts.session_idle_seconds = 0.05;
-  auto service = QueryService::Create(&fx.instance->disk,
+  auto service = QueryService::Create(&fx.instance->storage,
                                       fx.instance->files, opts);
   ASSERT_TRUE(service.ok());
   auto spec = [&](uint64_t salt) {
@@ -382,7 +393,7 @@ TEST(ApiSessionTest, SessionsSurviveAcrossSubmitTraffic) {
   // through the same workers: interleaved traffic must not perturb the
   // stream (its reader is private) nor the one-shot determinism.
   ApiFixture fx;
-  auto service = QueryService::Create(&fx.instance->disk,
+  auto service = QueryService::Create(&fx.instance->storage,
                                       fx.instance->files, fx.Options(2));
   ASSERT_TRUE(service.ok());
 

@@ -147,7 +147,7 @@ TEST(DifferentialSweepTest, SerialAndParallelSchedulesAgree) {
     config.buffer_pct = p.buffer_pct;
     config.seed = p.seed;
     auto instance = test::MakeSmallInstance(config).value();
-    const size_t frames = instance->pool->capacity();
+    const size_t frames = instance->pool_frames;
 
     // One executor per parallelism level; parallelism 1 builds no pool
     // and runs the identical schedule inline (the serial anchor).
@@ -155,17 +155,15 @@ TEST(DifferentialSweepTest, SerialAndParallelSchedulesAgree) {
     std::vector<std::unique_ptr<exec::ExpansionExecutor>> executors;
     for (int par : levels) {
       executors.push_back(exec::ExpansionExecutor::Create(
-                              &instance->disk, instance->files, par, frames)
+                              &instance->storage, instance->files, par,
+                              frames)
                               .value());
     }
 
     // The executors hold BeginConcurrentReads scopes on the shared disk,
     // so between runs only the pool may be reset (disk counter resets
     // would trip the storage layer's single-writer DCHECK — by design).
-    auto reset_pool = [&] {
-      instance->pool->Clear();
-      instance->pool->ResetStats();
-    };
+    auto reset_pool = [&] { instance->reader->ResetIoState(); };
 
     Random rng(test::DeriveSeed(p.seed, 77));
     for (int qi = 0; qi < 2; ++qi) {
@@ -328,10 +326,9 @@ TEST(DifferentialSweepTest, SerialAndParallelSchedulesAgree) {
 // Shard-count invariance (DESIGN.md §8): the same graph laid out as K in
 // {1, 2, 4} shard file sets must produce byte-identical result hashes and
 // identical logical/physical record-fetch counts, for all three query
-// processors at parallelism 1, 2 and 4, anchored against the flat (un-
-// sharded) executor. K only moves pages between disks — the K = 1 case
-// degenerates to the flat page layout exactly — so any divergence is a
-// routing bug, not a modeling choice.
+// processors at parallelism 1, 2 and 4, anchored against an executor over
+// the instance's own single-disk (K = 1) layout. K only moves pages between
+// disks, so any divergence is a routing bug, not a modeling choice.
 TEST(DifferentialSweepTest, ShardCountInvariance) {
   const uint64_t base = test::AnnounceSeed("differential_sweep_test");
   for (int d : {2, 4}) {
@@ -340,7 +337,7 @@ TEST(DifferentialSweepTest, ShardCountInvariance) {
     config.buffer_pct = 0.5;
     config.seed = test::DeriveSeed(base, 900 + static_cast<uint64_t>(d));
     auto instance = test::MakeSmallInstance(config).value();
-    const size_t frames = instance->pool->capacity();
+    const size_t frames = instance->pool_frames;
 
     // The same graph + facilities laid out at every shard count.
     const std::vector<int> shard_counts = {1, 2, 4};
@@ -355,8 +352,8 @@ TEST(DifferentialSweepTest, ShardCountInvariance) {
           shard::BuildShardedNetwork(storages.back().get(), instance->graph,
                                      instance->facilities)
               .value());
-      // K = 1 reproduces the flat page layout exactly; K > 1 may pay a
-      // few pages of per-shard fragmentation (partial trailing pages)
+      // K = 1 reproduces the reference page layout exactly; K > 1 may pay
+      // a few pages of per-shard fragmentation (partial trailing pages)
       // but never loses any.
       if (k == 1) {
         ASSERT_EQ(sharded_files.back().total_pages,
@@ -379,21 +376,22 @@ TEST(DifferentialSweepTest, ShardCountInvariance) {
       const int k = 2 + static_cast<int>(test::DeriveSeed(config.seed, qi) % 5);
 
       for (int par : {1, 2, 4}) {
-        auto flat_exec =
-            exec::ExpansionExecutor::Create(&instance->disk, instance->files,
-                                            par, frames)
+        auto reference_exec =
+            exec::ExpansionExecutor::Create(&instance->storage,
+                                            instance->files, par, frames)
                 .value();
         for (Algo algo : {Algo::kSkyline, Algo::kTopK, Algo::kIncremental}) {
           SCOPED_TRACE("d=" + std::to_string(d) + " q=" + q.ToString() +
                        " par=" + std::to_string(par) + " algo=" +
                        AlgoName(algo) + " | " + ReseedHint());
-          flat_exec->ResetIoState();
-          auto flat_rig = flat_exec->NewQuery(q).value();
+          reference_exec->ResetIoState();
+          auto reference_rig = reference_exec->NewQuery(q).value();
           QueryOptions exec_opts;
           exec_opts.parallelism = par;
-          exec_opts.scheduler = flat_rig.scheduler.get();
-          Capture flat = RunOne(algo, flat_rig.engine.get(), exec_opts,
-                                ProbePolicy::kRoundRobin, f, k);
+          exec_opts.scheduler = reference_rig.scheduler.get();
+          Capture reference =
+              RunOne(algo, reference_rig.engine.get(), exec_opts,
+                     ProbePolicy::kRoundRobin, f, k);
 
           for (size_t ki = 0; ki < shard_counts.size(); ++ki) {
             auto sharded_exec = exec::ExpansionExecutor::Create(
@@ -417,17 +415,17 @@ TEST(DifferentialSweepTest, ShardCountInvariance) {
 
             // The determinism contract: K is invisible to results and to
             // the record-level I/O accounting.
-            EXPECT_EQ(flat.hash, got.hash)
+            EXPECT_EQ(reference.hash, got.hash)
                 << "K=" << shard_counts[ki] << " diverged";
-            EXPECT_EQ(flat.fetch.adjacency_requests,
+            EXPECT_EQ(reference.fetch.adjacency_requests,
                       got.fetch.adjacency_requests);
-            EXPECT_EQ(flat.fetch.facility_requests,
+            EXPECT_EQ(reference.fetch.facility_requests,
                       got.fetch.facility_requests);
-            EXPECT_EQ(flat.fetch.adjacency_fetches,
+            EXPECT_EQ(reference.fetch.adjacency_fetches,
                       got.fetch.adjacency_fetches);
-            EXPECT_EQ(flat.fetch.facility_fetches,
+            EXPECT_EQ(reference.fetch.facility_fetches,
                       got.fetch.facility_fetches);
-            EXPECT_EQ(flat.ids, got.ids) << "K=" << shard_counts[ki];
+            EXPECT_EQ(reference.ids, got.ids) << "K=" << shard_counts[ki];
 
             // Remote accounting: a single shard has no boundaries to
             // cross; with more shards every routed fetch lands somewhere
@@ -487,7 +485,8 @@ TEST(DifferentialSweepTest, PruneIndexOnOffParity) {
     config.buffer_pct = 1.0;
     config.seed = test::DeriveSeed(base, 700 + static_cast<uint64_t>(d));
     config.landmarks = 8;
-    auto instance = gen::BuildInstance(config).value();
+    auto instance =
+        gen::BuildShardedInstance(config, /*num_shards=*/1).value();
     ASSERT_TRUE(instance->files.landmark.present());
     net::LandmarkIndexReader* index = instance->landmark_reader.get();
 
@@ -560,8 +559,8 @@ TEST(DifferentialSweepTest, PruneIndexOnOffParity) {
         SCOPED_TRACE("turn-mode d=" + std::to_string(d) + " q=" +
                      q.ToString() + " | " + ReseedHint());
         auto executor = exec::ExpansionExecutor::Create(
-                            &instance->disk, instance->files, /*parallelism=*/1,
-                            instance->pool->capacity())
+                            &instance->storage, instance->files,
+                            /*parallelism=*/1, instance->pool_frames)
                             .value();
         std::vector<Capture> runs;
         for (net::LandmarkIndexReader* idx :

@@ -99,11 +99,11 @@ TEST_F(EnginesTest, LsaFetchesEachRecordOncePerExpansion) {
 
 TEST_F(EnginesTest, MemEngineDoesNoIo) {
   Location q = Location::AtNode(0);
-  fixture_.disk.ResetStats();
+  fixture_.disk().ResetStats();
   auto mem =
       MemEngine::Create(&fixture_.graph, &fixture_.facilities, q).value();
   DrainRoundRobin(*mem);
-  EXPECT_EQ(fixture_.disk.stats().page_reads, 0u);
+  EXPECT_EQ(fixture_.disk().stats().page_reads, 0u);
 }
 
 TEST_F(EnginesTest, FrontierInfiniteAfterExhaustion) {

@@ -1,7 +1,7 @@
-// Regression test for the frame-budget split across shard pools. The old
-// FramesPerShard floored the division, silently dropping up to K-1
-// remainder frames of a non-divisible budget — a worker configured for
-// 10 frames over K=4 shards ran with 8. SplitFramesAcrossShards conserves
+// Regression test for the frame-budget split across shard pools. An
+// earlier floored division silently dropped up to K-1 remainder frames of
+// a non-divisible budget — a worker configured for 10 frames over K=4
+// shards ran with 8. SplitFramesAcrossShards conserves
 // the budget exactly: sum == total for every total >= K, with the one-frame
 // floor (each pool must be usable) as the only case where the sum exceeds
 // the budget. The reader-level test pins the capacities a
@@ -49,15 +49,6 @@ TEST(FrameBudgetTest, SplitConservesTotalFrames) {
   }
 }
 
-TEST(FrameBudgetTest, OldFloorDivisionDocumentedAsLossy) {
-  // The deprecated helper keeps its old behavior (callers that still want
-  // a uniform per-shard count get it unchanged) — this pins what the new
-  // split fixes: 11 frames over 4 shards lost 3 of them.
-  EXPECT_EQ(FramesPerShard(11, 4), 2u);
-  const std::vector<size_t> fixed = SplitFramesAcrossShards(11, 4);
-  EXPECT_EQ(std::accumulate(fixed.begin(), fixed.end(), size_t{0}), 11u);
-}
-
 TEST(FrameBudgetTest, ReaderPoolsMatchTheSplit) {
   const uint64_t base = test::AnnounceSeed("frame_budget_test");
   test::SmallConfig config;
@@ -75,7 +66,7 @@ TEST(FrameBudgetTest, ReaderPoolsMatchTheSplit) {
       ShardedNetworkReader reader(&storage, files, frames);
       size_t built = 0;
       for (int s = 0; s < k; ++s) {
-        built += reader.shard_pool(static_cast<ShardId>(s)).capacity();
+        built += reader.shard_pool(static_cast<ShardId>(s))->capacity();
       }
       const size_t expected =
           total >= static_cast<size_t>(k) ? total : static_cast<size_t>(k);

@@ -244,14 +244,16 @@ TEST(WorkloadTest, BuildInstanceEndToEnd) {
   config.facilities = 100;
   config.num_costs = 3;
   config.buffer_pct = 1.0;
-  auto instance = BuildInstance(config).value();
+  auto instance = BuildShardedInstance(config, /*num_shards=*/1).value();
   EXPECT_EQ(instance->graph.num_nodes(), 800u);
   EXPECT_EQ(instance->graph.num_edges(), 1020u);
   EXPECT_EQ(instance->facilities.size(), 100u);
   EXPECT_EQ(instance->files.num_costs, 3);
   EXPECT_GT(instance->files.total_pages, 0u);
-  EXPECT_EQ(instance->pool->capacity(),
+  EXPECT_EQ(instance->pool_frames,
             BufferFrames(1.0, instance->files.total_pages));
+  EXPECT_EQ(instance->reader->shard_pool(0)->capacity(),
+            instance->pool_frames);
 
   Random rng(3);
   graph::Location q = instance->RandomQueryLocation(rng);
@@ -282,14 +284,14 @@ TEST(WorkloadTest, ResetIoStateClearsCounters) {
   config.nodes = 300;
   config.edges = 400;
   config.facilities = 40;
-  auto instance = BuildInstance(config).value();
+  auto instance = BuildShardedInstance(config, /*num_shards=*/1).value();
   std::vector<net::AdjEntry> entries;
   ASSERT_TRUE(instance->reader->GetAdjacency(0, &entries).ok());
-  EXPECT_GT(instance->pool->stats().accesses(), 0u);
+  EXPECT_GT(instance->reader->PoolStats().accesses(), 0u);
   instance->ResetIoState();
-  EXPECT_EQ(instance->pool->stats().accesses(), 0u);
-  EXPECT_EQ(instance->disk.stats().page_reads, 0u);
-  EXPECT_EQ(instance->pool->resident_frames(), 0u);
+  EXPECT_EQ(instance->reader->PoolStats().accesses(), 0u);
+  EXPECT_EQ(instance->storage.MergedStats().page_reads, 0u);
+  EXPECT_EQ(instance->reader->shard_pool(0)->resident_frames(), 0u);
 }
 
 }  // namespace

@@ -33,7 +33,9 @@ class IntegrationTest : public ::testing::Test {
     config.distribution = gen::CostDistribution::kAntiCorrelated;
     config.buffer_pct = 1.0;
     config.seed = 2026;
-    instance_ = gen::BuildInstance(config).value().release();
+    instance_ = gen::BuildShardedInstance(config, /*num_shards=*/1)
+                    .value()
+                    .release();
   }
 
   static void TearDownTestSuite() {
@@ -41,10 +43,10 @@ class IntegrationTest : public ::testing::Test {
     instance_ = nullptr;
   }
 
-  static gen::Instance* instance_;
+  static gen::ShardedInstance* instance_;
 };
 
-gen::Instance* IntegrationTest::instance_ = nullptr;
+gen::ShardedInstance* IntegrationTest::instance_ = nullptr;
 
 TEST_F(IntegrationTest, SkylineLsaCeaOracleAgreeOnManyQueries) {
   Random rng(42);
@@ -104,11 +106,11 @@ TEST_F(IntegrationTest, NaiveBaselineAgreesAndCostsMore) {
   auto cea = expand::CeaEngine::Create(instance_->reader.get(), q).value();
   SkylineQuery cea_query(cea.get());
   auto cea_result = cea_query.ComputeAll().value();
-  uint64_t cea_accesses = instance_->pool->stats().accesses();
+  uint64_t cea_accesses = instance_->reader->PoolStats().accesses();
 
   instance_->ResetIoState();
   auto naive = algo::NaiveSkyline(*instance_->reader, q).value();
-  uint64_t naive_accesses = instance_->pool->stats().accesses();
+  uint64_t naive_accesses = instance_->reader->PoolStats().accesses();
 
   std::set<graph::FacilityId> a, b;
   for (auto& e : cea_result) a.insert(e.facility);
@@ -148,9 +150,9 @@ TEST_F(IntegrationTest, ProgressiveSkylineDeliversFirstResultEarly) {
     SkylineQuery query(cea.get());
     auto first = query.Next().value();
     ASSERT_TRUE(first.has_value());
-    uint64_t first_accesses = instance_->pool->stats().accesses();
+    uint64_t first_accesses = instance_->reader->PoolStats().accesses();
     query.ComputeAll().value();
-    uint64_t total_accesses = instance_->pool->stats().accesses();
+    uint64_t total_accesses = instance_->reader->PoolStats().accesses();
     EXPECT_LT(first_accesses, total_accesses);
     ratio_sum += static_cast<double>(first_accesses) / total_accesses;
   }

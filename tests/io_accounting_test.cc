@@ -33,7 +33,7 @@ class IoAccountingTest : public ::testing::Test {
     return instance_->RandomQueryLocation(rng);
   }
 
-  std::unique_ptr<gen::Instance> instance_;
+  std::unique_ptr<gen::ShardedInstance> instance_;
 };
 
 TEST_F(IoAccountingTest, CeaNeverFetchesARecordTwice) {
@@ -77,48 +77,48 @@ TEST_F(IoAccountingTest, CeaCostsFewerBufferMissesThanLsa) {
   auto lsa = LsaEngine::Create(instance_->reader.get(), q).value();
   SkylineQuery lsa_query(lsa.get());
   lsa_query.ComputeAll().value();
-  uint64_t lsa_misses = instance_->pool->stats().misses;
+  uint64_t lsa_misses = instance_->reader->PoolStats().misses;
 
   instance_->ResetIoState();
   auto cea = CeaEngine::Create(instance_->reader.get(), q).value();
   SkylineQuery cea_query(cea.get());
   cea_query.ComputeAll().value();
-  uint64_t cea_misses = instance_->pool->stats().misses;
+  uint64_t cea_misses = instance_->reader->PoolStats().misses;
 
   EXPECT_LT(cea_misses, lsa_misses);
 }
 
 TEST_F(IoAccountingTest, ZeroBufferMakesEveryAccessAMiss) {
   Location q = Query(13);
-  instance_->pool->SetCapacity(0);
+  instance_->reader->shard_pool(0)->SetCapacity(0);
   instance_->ResetIoState();
   auto cea = CeaEngine::Create(instance_->reader.get(), q).value();
   SkylineQuery query(cea.get());
   query.ComputeAll().value();
-  EXPECT_EQ(instance_->pool->stats().hits, 0u);
-  EXPECT_EQ(instance_->pool->stats().misses,
-            instance_->pool->stats().accesses());
-  EXPECT_EQ(instance_->disk.stats().page_reads,
-            instance_->pool->stats().misses);
+  EXPECT_EQ(instance_->reader->PoolStats().hits, 0u);
+  EXPECT_EQ(instance_->reader->PoolStats().misses,
+            instance_->reader->PoolStats().accesses());
+  EXPECT_EQ(instance_->storage.MergedStats().page_reads,
+            instance_->reader->PoolStats().misses);
 }
 
 TEST_F(IoAccountingTest, LargerBufferNeverIncreasesMisses) {
   Location q = Query(17);
   std::vector<uint64_t> misses;
   for (double pct : {0.0, 0.5, 1.0, 2.0, 100.0}) {
-    instance_->pool->SetCapacity(
+    instance_->reader->shard_pool(0)->SetCapacity(
         gen::BufferFrames(pct, instance_->files.total_pages));
     instance_->ResetIoState();
     auto lsa = LsaEngine::Create(instance_->reader.get(), q).value();
     SkylineQuery query(lsa.get());
     query.ComputeAll().value();
-    misses.push_back(instance_->pool->stats().misses);
+    misses.push_back(instance_->reader->PoolStats().misses);
   }
   for (size_t i = 1; i < misses.size(); ++i) {
     EXPECT_LE(misses[i], misses[i - 1]) << "buffer step " << i;
   }
   // Restore default.
-  instance_->pool->SetCapacity(
+  instance_->reader->shard_pool(0)->SetCapacity(
       gen::BufferFrames(1.0, instance_->files.total_pages));
 }
 
@@ -170,13 +170,13 @@ TEST_F(IoAccountingTest, TopKSharesTheSameIoContracts) {
   auto lsa = LsaEngine::Create(instance_->reader.get(), q).value();
   TopKQuery lsa_query(lsa.get(), f, opts);
   lsa_query.Run().value();
-  uint64_t lsa_misses = instance_->pool->stats().misses;
+  uint64_t lsa_misses = instance_->reader->PoolStats().misses;
 
   instance_->ResetIoState();
   auto cea = CeaEngine::Create(instance_->reader.get(), q).value();
   TopKQuery cea_query(cea.get(), f, opts);
   cea_query.Run().value();
-  uint64_t cea_misses = instance_->pool->stats().misses;
+  uint64_t cea_misses = instance_->reader->PoolStats().misses;
 
   EXPECT_LE(cea_misses, lsa_misses);
   EXPECT_EQ(cea->fetch().stats().adjacency_fetches,

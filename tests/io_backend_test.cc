@@ -2,8 +2,9 @@
 // MCNDISK1 spill written by DiskManager::AttachFileBackend, byte parity of
 // ReadPagesBatch against the in-memory pages for every Fig. 2 file
 // (including the landmark index), the single-read/batched-read counter
-// equivalence contract, the io_uring -> preadv degradation switch, and the
-// `file_eio` chaos seam.
+// equivalence contract, the io_uring -> preadv degradation switch, the
+// `file_eio` chaos seam, and the service's per-turn batched replay
+// (ServiceOptions::replay_batch_io).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,8 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include "mcn/api/query_spec.h"
 #include "mcn/common/fault_injector.h"
 #include "mcn/common/macros.h"
+#include "mcn/common/random.h"
+#include "mcn/exec/query_service.h"
 #include "mcn/gen/workload.h"
 #include "mcn/storage/disk_manager.h"
 #include "mcn/storage/io_backend.h"
@@ -31,10 +35,10 @@ std::string TempPath(const std::string& name) {
 /// A built instance whose disk carries every Fig. 2 file plus the
 /// landmark index files (DESIGN.md §12) — the widest file census an
 /// attached image has to cover.
-std::unique_ptr<gen::Instance> InstanceWithLandmarks() {
+std::unique_ptr<gen::ShardedInstance> InstanceWithLandmarks() {
   gen::ExperimentConfig config = gen::ExperimentConfig().Scaled(0.005);
   config.landmarks = 4;
-  auto instance = gen::BuildInstance(config);
+  auto instance = gen::BuildShardedInstance(config, /*num_shards=*/1);
   MCN_CHECK(instance.ok());
   return std::move(instance.value());
 }
@@ -64,7 +68,7 @@ std::vector<std::vector<std::byte>> FetchBatch(
 
 TEST(IoBackendTest, AttachedImageRoundTripsEveryFileByteIdentical) {
   auto instance = InstanceWithLandmarks();
-  storage::DiskManager& disk = instance->disk;
+  storage::DiskManager& disk = *instance->storage.disk(0);
 
   // The census must include the landmark index (the file the PR-8 prune
   // oracle reads) — otherwise this test is not covering Fig. 2 + §12.
@@ -115,7 +119,7 @@ TEST(IoBackendTest, AttachedImageRoundTripsEveryFileByteIdentical) {
 TEST(IoBackendTest, BatchedReadsTickCountersLikeSingleReads) {
   test::DiskFixture fx(test::TinyGraph(),
                        test::TinyFacilities(test::TinyGraph()), 16);
-  storage::DiskManager& disk = fx.disk;
+  storage::DiskManager& disk = fx.disk();
   const std::vector<storage::PageId> ids = AllPages(disk);
   ASSERT_GE(ids.size(), 2u);
 
@@ -263,7 +267,7 @@ TEST(IoBackendTest, PreadvRingSurvivesBackToBackBatchChurn) {
 TEST(IoBackendTest, FileEioFaultSeamFiresBeforeCounters) {
   test::DiskFixture fx(test::TinyGraph(),
                        test::TinyFacilities(test::TinyGraph()), 16);
-  storage::DiskManager& disk = fx.disk;
+  storage::DiskManager& disk = fx.disk();
   const std::vector<storage::PageId> ids = AllPages(disk);
   const std::string path = TempPath("io_backend_fault.img");
   ASSERT_TRUE(
@@ -298,6 +302,74 @@ TEST(IoBackendTest, FileEioFaultSeamFiresBeforeCounters) {
   FaultInjector::Install(nullptr);
   disk.DetachFileBackend();
   std::remove(path.c_str());
+}
+
+/// Per-query results and the disk's batched-read count of one service run.
+struct ReplayLeg {
+  std::vector<uint64_t> hashes;
+  std::vector<uint64_t> misses;
+  uint64_t batch_reads = 0;
+};
+
+/// Turn-mode skylines (parallelism 1) on a one-worker service over
+/// `instance`, with or without per-turn batched replay.
+ReplayLeg RunReplayLeg(gen::ShardedInstance& instance, bool replay) {
+  instance.storage.ResetStats();
+  exec::ServiceOptions opts;
+  opts.num_workers = 1;
+  opts.pool_frames_per_worker = instance.pool_frames;
+  opts.replay_batch_io = replay;
+  auto service =
+      exec::QueryService::Create(&instance.storage, instance.files, opts)
+          .value();
+  Random rng(31);
+  ReplayLeg leg;
+  for (int i = 0; i < 6; ++i) {
+    api::QuerySpec spec = api::SkylineSpec(instance.RandomQueryLocation(rng));
+    spec.parallelism = 1;
+    exec::QueryResult result = service->Submit(spec).get();
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    leg.hashes.push_back(result.result_hash);
+    leg.misses.push_back(result.stats.buffer_misses);
+  }
+  leg.batch_reads = service->MetricsSnapshot().CounterValue(
+      exec::metric_names::kIoBatchReads);
+  service->Shutdown();
+  return leg;
+}
+
+// replay_batch_io reads each turn's buffer misses back as one batch through
+// the file backend of a single-disk (K = 1) network, without changing
+// results or logical misses. A K = 4 turn's misses span several disks, so
+// a multi-shard service never replays, even with a backend on shard 0.
+TEST(IoBackendTest, ReplayBatchIoOnlyOnSingleDiskFileBackend) {
+  const gen::ExperimentConfig config = gen::ExperimentConfig().Scaled(0.005);
+
+  auto single = gen::BuildShardedInstance(config, /*num_shards=*/1).value();
+  storage::DiskManager* disk = single->storage.disk(0);
+  const std::string path = TempPath("io_backend_replay.img");
+  ASSERT_TRUE(
+      disk->AttachFileBackend(path, storage::IoBackendKind::kPreadv).ok());
+  ASSERT_EQ(disk->io_backend(), storage::IoBackendKind::kPreadv);
+  const ReplayLeg off = RunReplayLeg(*single, /*replay=*/false);
+  const ReplayLeg on = RunReplayLeg(*single, /*replay=*/true);
+  disk->DetachFileBackend();
+  std::remove(path.c_str());
+  EXPECT_EQ(off.hashes, on.hashes);
+  EXPECT_EQ(off.misses, on.misses);
+  EXPECT_EQ(off.batch_reads, 0u);
+  EXPECT_GT(on.batch_reads, 0u);
+
+  auto four = gen::BuildShardedInstance(config, /*num_shards=*/4).value();
+  storage::DiskManager* shard0 = four->storage.disk(0);
+  const std::string path4 = TempPath("io_backend_replay_k4.img");
+  ASSERT_TRUE(
+      shard0->AttachFileBackend(path4, storage::IoBackendKind::kPreadv).ok());
+  const ReplayLeg sharded = RunReplayLeg(*four, /*replay=*/true);
+  shard0->DetachFileBackend();
+  std::remove(path4.c_str());
+  EXPECT_EQ(sharded.hashes, off.hashes);
+  EXPECT_EQ(sharded.batch_reads, 0u);
 }
 
 }  // namespace

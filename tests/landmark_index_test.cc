@@ -10,7 +10,7 @@
 //  * admissibility: every stored (dimension, landmark) entry brackets the
 //    exact single-criterion Dijkstra distance;
 //  * exactness at the query layer: skyline runs with the oracle installed
-//    are byte-identical to runs without it (flat and sharded layouts, and
+//    are byte-identical to runs without it (K = 1, 2 and 4 layouts, and
 //    through QueryService), prune at least once somewhere across the
 //    sweep, and obey the probe accounting inequality
 //    adjacency_requests_on + nodes_pruned <= adjacency_requests_off.
@@ -58,6 +58,12 @@ gen::ExperimentConfig IndexedConfig(uint64_t seed, int d = 3,
   return config;
 }
 
+/// A single-disk (K = 1) build of `config`.
+std::unique_ptr<gen::ShardedInstance> BuildIndexed(
+    const gen::ExperimentConfig& config) {
+  return gen::BuildShardedInstance(config, /*num_shards=*/1).value();
+}
+
 TEST(LandmarkIndexTest, QuantizationBracketsTheDouble) {
   const uint64_t base = test::AnnounceSeed("landmark_index_test");
   Random rng(base);
@@ -77,7 +83,7 @@ TEST(LandmarkIndexTest, QuantizationBracketsTheDouble) {
 
 TEST(LandmarkIndexTest, SelectionIsDeterministicAndDistinct) {
   const uint64_t base = test::AnnounceSeed("landmark_index_test");
-  auto instance = gen::BuildInstance(IndexedConfig(base, 3, 0)).value();
+  auto instance = BuildIndexed(IndexedConfig(base, 3, 0));
   const auto a =
       net::SelectLandmarks(instance->graph, 8, /*num_shards=*/1, {});
   const auto b =
@@ -100,8 +106,8 @@ TEST(LandmarkIndexTest, SelectionIsDeterministicAndDistinct) {
 
 TEST(LandmarkIndexTest, BuildIsDeterministicAcrossRuns) {
   const uint64_t base = test::AnnounceSeed("landmark_index_test");
-  auto one = gen::BuildInstance(IndexedConfig(base)).value();
-  auto two = gen::BuildInstance(IndexedConfig(base)).value();
+  auto one = BuildIndexed(IndexedConfig(base));
+  auto two = BuildIndexed(IndexedConfig(base));
   ASSERT_TRUE(one->files.landmark.present());
   ASSERT_TRUE(two->files.landmark.present());
   EXPECT_EQ(one->files.landmark.num_landmarks,
@@ -122,11 +128,15 @@ TEST(LandmarkIndexTest, BuildIsDeterministicAcrossRuns) {
 
 TEST(LandmarkIndexTest, PersistenceRoundTripThroughCatalog) {
   const uint64_t base = test::AnnounceSeed("landmark_index_test");
-  auto instance = gen::BuildInstance(IndexedConfig(base)).value();
+  auto instance = BuildIndexed(IndexedConfig(base));
   ASSERT_TRUE(instance->files.landmark.present());
+  // The single shard's file set plus the index handle: everything a
+  // reopened process needs, on shard 0's disk.
+  net::NetworkFiles catalog = instance->files.shards[0];
+  catalog.landmark = instance->files.landmark;
   const std::string db = TempPath("landmark_netdb");
   ASSERT_TRUE(
-      net::SaveNetworkDatabase(instance->disk, instance->files, db).ok());
+      net::SaveNetworkDatabase(*instance->storage.disk(0), catalog, db).ok());
   auto loaded = net::LoadNetworkDatabase(db).value();
   ASSERT_TRUE(loaded.files.landmark.present());
   EXPECT_EQ(loaded.files.landmark.file, instance->files.landmark.file);
@@ -155,16 +165,16 @@ TEST(LandmarkIndexTest, PersistenceRoundTripThroughCatalog) {
 
   // A catalog without lm_ keys must still load (index-less databases stay
   // readable), reporting an absent index.
-  auto bare = gen::BuildInstance(IndexedConfig(base, 3, 0)).value();
+  auto bare = BuildIndexed(IndexedConfig(base, 3, 0));
   const std::string bare_path = TempPath("landmark_bare.cat");
-  ASSERT_TRUE(net::SaveCatalog(bare->files, bare_path).ok());
+  ASSERT_TRUE(net::SaveCatalog(bare->files.shards[0], bare_path).ok());
   auto bare_files = net::LoadCatalog(bare_path).value();
   EXPECT_FALSE(bare_files.landmark.present());
 }
 
 TEST(LandmarkIndexTest, RowsBracketExactDijkstraDistances) {
   const uint64_t base = test::AnnounceSeed("landmark_index_test");
-  auto instance = gen::BuildInstance(IndexedConfig(base, 3, 6)).value();
+  auto instance = BuildIndexed(IndexedConfig(base, 3, 6));
   const net::LandmarkIndexReader& reader = *instance->landmark_reader;
   const int d = reader.num_costs();
   const uint32_t L = reader.num_landmarks();
@@ -229,8 +239,7 @@ TEST(LandmarkIndexTest, SkylineWithIndexIsByteIdentical) {
   const uint64_t base = test::AnnounceSeed("landmark_index_test");
   uint64_t total_cut = 0;
   for (int d : {2, 3, 4}) {
-    auto instance =
-        gen::BuildInstance(IndexedConfig(test::DeriveSeed(base, d), d)).value();
+    auto instance = BuildIndexed(IndexedConfig(test::DeriveSeed(base, d), d));
     Random rng(test::DeriveSeed(base, 40 + d));
     for (int qi = 0; qi < 6; ++qi) {
       const graph::Location q = instance->RandomQueryLocation(rng);
@@ -269,16 +278,19 @@ TEST(LandmarkIndexTest, ShardedBuildMatchesFlatResults) {
   const uint64_t base = test::AnnounceSeed("landmark_index_test");
   const gen::ExperimentConfig config =
       IndexedConfig(test::DeriveSeed(base, 77));
-  auto flat = gen::BuildInstance(config).value();
+  auto reference = BuildIndexed(config);
   Random rng(test::DeriveSeed(base, 78));
   std::vector<graph::Location> queries;
-  for (int qi = 0; qi < 4; ++qi) queries.push_back(flat->RandomQueryLocation(rng));
+  for (int qi = 0; qi < 4; ++qi) {
+    queries.push_back(reference->RandomQueryLocation(rng));
+  }
 
-  std::vector<uint64_t> flat_hashes;
+  std::vector<uint64_t> reference_hashes;
   for (const auto& q : queries) {
-    flat->ResetIoState();
-    flat_hashes.push_back(
-        RunSkyline(flat->reader.get(), q, flat->landmark_reader.get()).hash);
+    reference->ResetIoState();
+    reference_hashes.push_back(RunSkyline(reference->reader.get(), q,
+                                          reference->landmark_reader.get())
+                                   .hash);
   }
 
   for (int k : {1, 2, 4}) {
@@ -288,20 +300,19 @@ TEST(LandmarkIndexTest, ShardedBuildMatchesFlatResults) {
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       SCOPED_TRACE("K=" + std::to_string(k) + " q=" + queries[qi].ToString());
       sharded->ResetIoState();
-      // The sharded landmark selection differs from the flat one (quota is
+      // The K > 1 landmark selection differs from the K = 1 one (quota is
       // boundary-biased per shard), so fetch counts may differ — results
       // may not: the oracle is exact for any admissible index.
       const PruneCapture got = RunSkyline(sharded->reader.get(), queries[qi],
                                           sharded->landmark_reader.get());
-      EXPECT_EQ(got.hash, flat_hashes[qi]);
+      EXPECT_EQ(got.hash, reference_hashes[qi]);
     }
   }
 }
 
 TEST(LandmarkIndexTest, QueryServicePruneParity) {
   const uint64_t base = test::AnnounceSeed("landmark_index_test");
-  auto instance =
-      gen::BuildInstance(IndexedConfig(test::DeriveSeed(base, 99))).value();
+  auto instance = BuildIndexed(IndexedConfig(test::DeriveSeed(base, 99)));
   ASSERT_TRUE(instance->files.landmark.present());
 
   // Every spec kind rides the same service, constrained variants included:
@@ -341,11 +352,11 @@ TEST(LandmarkIndexTest, QueryServicePruneParity) {
   auto run_service = [&](bool enable) {
     exec::ServiceOptions options;
     options.num_workers = 2;
-    options.pool_frames_per_worker = instance->pool->capacity();
+    options.pool_frames_per_worker = instance->pool_frames;
     options.enable_prune_index = enable;
-    auto service =
-        exec::QueryService::Create(&instance->disk, instance->files, options)
-            .value();
+    auto service = exec::QueryService::Create(&instance->storage,
+                                              instance->files, options)
+                       .value();
     std::vector<uint64_t> hashes;
     uint64_t misses = 0;
     for (const auto& spec : specs) {

@@ -72,11 +72,11 @@ TEST(NaiveTest, ReadsNetworkDTimes) {
   // type, so its adjacency requests are ~d * nodes even for easy queries.
   test::DiskFixture fx(test::TinyGraph(),
                        test::TinyFacilities(test::TinyGraph()), 64);
-  fx.pool->ResetStats();
+  fx.pool().ResetStats();
   NaiveSkyline(*fx.reader, Location::AtNode(0)).value();
   // 2 cost types * 9 nodes = 18 adjacency record reads, plus tree probes:
   // strictly more accesses than the node count.
-  EXPECT_GT(fx.pool->stats().accesses(),
+  EXPECT_GT(fx.pool().stats().accesses(),
             2u * fx.graph.num_nodes());
 }
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 
 #include "mcn/net/format.h"
-#include "mcn/net/network_builder.h"
 #include "mcn/net/network_reader.h"
+#include "mcn/shard/sharded_builder.h"
+#include "mcn/shard/sharded_reader.h"
+#include "mcn/shard/sharded_storage.h"
 #include "test_util.h"
 
 namespace mcn::net {
@@ -133,10 +135,10 @@ TEST_F(NetStoreTest, FindEdgeEntry) {
 }
 
 TEST_F(NetStoreTest, ReadsGoThroughBufferPool) {
-  fixture_.pool->ResetStats();
+  fixture_.pool().ResetStats();
   std::vector<AdjEntry> entries;
   ASSERT_TRUE(fixture_.reader->GetAdjacency(4, &entries).ok());
-  EXPECT_GT(fixture_.pool->stats().accesses(), 0u);
+  EXPECT_GT(fixture_.pool().stats().accesses(), 0u);
 }
 
 TEST_F(NetStoreTest, OutOfRangeNodeFails) {
@@ -149,8 +151,8 @@ TEST(NetworkBuilderTest, RequiresFinalizedInputs) {
   g.AddNode(0, 0);
   graph::FacilitySet f;
   f.Finalize();
-  storage::DiskManager disk;
-  EXPECT_EQ(net::BuildNetwork(&disk, g, f).status().code(),
+  shard::ShardedStorage storage(shard::SingleShardPartition(1));
+  EXPECT_EQ(shard::BuildShardedNetwork(&storage, g, f).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -161,11 +163,10 @@ TEST(NetworkBuilderTest, IsolatedNodesAndEmptyFacilities) {
   g.Finalize();
   graph::FacilitySet f;
   f.Finalize();
-  storage::DiskManager disk;
-  auto files = net::BuildNetwork(&disk, g, f);
+  shard::ShardedStorage storage(shard::SingleShardPartition(2));
+  auto files = shard::BuildShardedNetwork(&storage, g, f);
   ASSERT_TRUE(files.ok()) << files.status().ToString();
-  storage::BufferPool pool(&disk, 8);
-  net::NetworkReader reader(files.value(), &pool);
+  shard::ShardedNetworkReader reader(&storage, files.value(), {8});
   std::vector<AdjEntry> entries;
   ASSERT_TRUE(reader.GetAdjacency(0, &entries).ok());
   EXPECT_TRUE(entries.empty());

@@ -30,20 +30,17 @@ struct StressRig {
   explicit StressRig(const test::SmallConfig& config, size_t frames,
                      int slots)
       : instance(test::MakeSmallInstance(config).value()) {
-    instance->disk.BeginConcurrentReads();
+    instance->storage.BeginConcurrentReads();
     for (int s = 0; s < slots; ++s) {
-      pools.push_back(std::make_unique<storage::BufferPool>(&instance->disk,
-                                                            frames));
-      readers.push_back(std::make_unique<net::NetworkReader>(
-          instance->files, pools.back().get()));
+      readers.push_back(std::make_unique<shard::ShardedNetworkReader>(
+          &instance->storage, instance->files, std::vector<size_t>{frames}));
       reader_ptrs.push_back(readers.back().get());
     }
   }
-  ~StressRig() { instance->disk.EndConcurrentReads(); }
+  ~StressRig() { instance->storage.EndConcurrentReads(); }
 
-  std::unique_ptr<gen::Instance> instance;
-  std::vector<std::unique_ptr<storage::BufferPool>> pools;
-  std::vector<std::unique_ptr<net::NetworkReader>> readers;
+  std::unique_ptr<gen::ShardedInstance> instance;
+  std::vector<std::unique_ptr<shard::ShardedNetworkReader>> readers;
   std::vector<const net::NetworkReader*> reader_ptrs;
 };
 
@@ -165,11 +162,11 @@ TEST(ParallelExpansionStressTest, OversubscribedTurnsStayDeterministic) {
   auto instance = test::MakeSmallInstance(config).value();
 
   auto inline_exec = exec::ExpansionExecutor::Create(
-                         &instance->disk, instance->files,
+                         &instance->storage, instance->files,
                          /*parallelism=*/1, /*pool_frames_per_slot=*/1)
                          .value();
   auto wide_exec = exec::ExpansionExecutor::Create(
-                       &instance->disk, instance->files,
+                       &instance->storage, instance->files,
                        /*parallelism=*/2 * config.num_costs,
                        /*pool_frames_per_slot=*/1)
                        .value();

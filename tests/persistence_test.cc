@@ -64,18 +64,19 @@ TEST(PersistenceTest, RejectsCorruptImages) {
 TEST(PersistenceTest, CatalogRoundTrip) {
   test::DiskFixture fx(test::TinyGraph(),
                        test::TinyFacilities(test::TinyGraph()), 16);
+  // The catalog persists one shard's file set; K = 1 holds everything.
+  const net::NetworkFiles& files = fx.files.shards[0];
   std::string path = TempPath("catalog.cat");
-  ASSERT_TRUE(net::SaveCatalog(fx.files, path).ok());
+  ASSERT_TRUE(net::SaveCatalog(files, path).ok());
   auto loaded = net::LoadCatalog(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_nodes, fx.files.num_nodes);
-  EXPECT_EQ(loaded->num_edges, fx.files.num_edges);
-  EXPECT_EQ(loaded->num_facilities, fx.files.num_facilities);
-  EXPECT_EQ(loaded->num_costs, fx.files.num_costs);
-  EXPECT_EQ(loaded->total_pages, fx.files.total_pages);
-  EXPECT_EQ(loaded->adjacency_tree.root(), fx.files.adjacency_tree.root());
-  EXPECT_EQ(loaded->facility_tree.height(),
-            fx.files.facility_tree.height());
+  EXPECT_EQ(loaded->num_nodes, files.num_nodes);
+  EXPECT_EQ(loaded->num_edges, files.num_edges);
+  EXPECT_EQ(loaded->num_facilities, files.num_facilities);
+  EXPECT_EQ(loaded->num_costs, files.num_costs);
+  EXPECT_EQ(loaded->total_pages, files.total_pages);
+  EXPECT_EQ(loaded->adjacency_tree.root(), files.adjacency_tree.root());
+  EXPECT_EQ(loaded->facility_tree.height(), files.facility_tree.height());
 }
 
 TEST(PersistenceTest, CatalogRejectsBadInput) {
@@ -103,8 +104,9 @@ TEST(PersistenceTest, FullDatabaseRoundTripAnswersQueries) {
   config.seed = 5150;
   auto instance = test::MakeSmallInstance(config).value();
   std::string base = TempPath("netdb");
-  ASSERT_TRUE(
-      net::SaveNetworkDatabase(instance->disk, instance->files, base).ok());
+  ASSERT_TRUE(net::SaveNetworkDatabase(*instance->storage.disk(0),
+                                       instance->files.shards[0], base)
+                  .ok());
 
   auto db = net::LoadNetworkDatabase(base);
   ASSERT_TRUE(db.ok()) << db.status().ToString();

@@ -24,7 +24,7 @@ namespace mcn::exec {
 namespace {
 
 struct ServiceFixture {
-  std::unique_ptr<gen::Instance> instance;
+  std::unique_ptr<gen::ShardedInstance> instance;
   size_t frames = 0;
 
   explicit ServiceFixture(uint64_t seed = 11) {
@@ -33,7 +33,7 @@ struct ServiceFixture {
     auto built = test::MakeSmallInstance(config);
     EXPECT_TRUE(built.ok());
     instance = std::move(built).value();
-    frames = instance->pool->capacity();
+    frames = instance->pool_frames;
   }
 
   ServiceOptions Options(int workers) const {
@@ -45,30 +45,26 @@ struct ServiceFixture {
   }
 
   /// A deterministic mixed workload (same for every service under test).
-  std::vector<QueryRequest> MixedWorkload(int n) const {
-    std::vector<QueryRequest> requests;
+  std::vector<api::QuerySpec> MixedWorkload(int n) const {
+    std::vector<api::QuerySpec> requests;
     Random rng(1234);
     int d = instance->graph.num_costs();
     for (int i = 0; i < n; ++i) {
-      QueryRequest req;
-      req.location = instance->RandomQueryLocation(rng);
-      req.engine = (i % 2 == 0) ? expand::EngineKind::kCea
-                                : expand::EngineKind::kLsa;
+      const graph::Location loc = instance->RandomQueryLocation(rng);
+      api::QuerySpec req;
       switch (i % 3) {
         case 0:
-          req.kind = QueryKind::kSkyline;
+          req = api::SkylineSpec(loc);
           break;
         case 1:
-          req.kind = QueryKind::kTopK;
-          req.k = 3;
-          req.weights = test::TestWeights(d, 99 + i);
+          req = api::TopKSpec(loc, 3, test::TestWeights(d, 99 + i));
           break;
         case 2:
-          req.kind = QueryKind::kIncrementalTopK;
-          req.k = 5;
-          req.weights = test::TestWeights(d, 7 + i);
+          req = api::IncrementalSpec(loc, 5, test::TestWeights(d, 7 + i));
           break;
       }
+      req.engine = (i % 2 == 0) ? expand::EngineKind::kCea
+                                : expand::EngineKind::kLsa;
       requests.push_back(std::move(req));
     }
     return requests;
@@ -82,10 +78,10 @@ struct RunRecord {
 };
 
 RunRecord RunThrough(QueryService& service,
-                     const std::vector<QueryRequest>& requests) {
+                     const std::vector<api::QuerySpec>& requests) {
   std::vector<std::future<QueryResult>> futures;
   futures.reserve(requests.size());
-  for (const QueryRequest& req : requests) {
+  for (const api::QuerySpec& req : requests) {
     futures.push_back(service.Submit(req));
   }
   RunRecord record;
@@ -105,13 +101,13 @@ TEST(QueryServiceTest, DeterministicAcrossWorkerCounts) {
   ServiceFixture fx;
   auto requests = fx.MixedWorkload(30);
 
-  auto s1 = QueryService::Create(&fx.instance->disk, fx.instance->files,
+  auto s1 = QueryService::Create(&fx.instance->storage, fx.instance->files,
                                  fx.Options(1));
   ASSERT_TRUE(s1.ok());
   RunRecord r1 = RunThrough(**s1, requests);
   (*s1)->Shutdown();
 
-  auto s8 = QueryService::Create(&fx.instance->disk, fx.instance->files,
+  auto s8 = QueryService::Create(&fx.instance->storage, fx.instance->files,
                                  fx.Options(8));
   ASSERT_TRUE(s8.ok());
   RunRecord r8 = RunThrough(**s8, requests);
@@ -128,7 +124,7 @@ TEST(QueryServiceTest, MatchesDirectSingleThreadedExecution) {
   ServiceFixture fx;
   auto requests = fx.MixedWorkload(18);
 
-  auto service = QueryService::Create(&fx.instance->disk,
+  auto service = QueryService::Create(&fx.instance->storage,
                                       fx.instance->files, fx.Options(4));
   ASSERT_TRUE(service.ok());
   RunRecord concurrent = RunThrough(**service, requests);
@@ -137,7 +133,7 @@ TEST(QueryServiceTest, MatchesDirectSingleThreadedExecution) {
   // Reference: the same requests executed inline on the instance's own
   // pool/reader, exactly like the paper's single-query experiments.
   for (size_t i = 0; i < requests.size(); ++i) {
-    const QueryRequest& req = requests[i];
+    const api::QuerySpec& req = requests[i];
     fx.instance->ResetIoState();
     auto engine = expand::MakeEngine(req.engine, fx.instance->reader.get(),
                                      req.location);
@@ -155,15 +151,16 @@ TEST(QueryServiceTest, MatchesDirectSingleThreadedExecution) {
         algo::TopKOptions opts;
         opts.k = req.k;
         algo::TopKQuery query(engine.value().get(),
-                              algo::WeightedSum(req.weights), opts);
+                              algo::WeightedSum(req.preference.weights),
+                              opts);
         auto rows = query.Run();
         ASSERT_TRUE(rows.ok());
         hash = algo::HashResult(rows.value());
         break;
       }
       case QueryKind::kIncrementalTopK: {
-        algo::IncrementalTopK query(engine.value().get(),
-                                    algo::WeightedSum(req.weights));
+        algo::IncrementalTopK query(
+            engine.value().get(), algo::WeightedSum(req.preference.weights));
         std::vector<algo::TopKEntry> rows;
         for (int j = 0; j < req.k; ++j) {
           auto next = query.NextBest();
@@ -176,7 +173,7 @@ TEST(QueryServiceTest, MatchesDirectSingleThreadedExecution) {
       }
     }
     EXPECT_EQ(concurrent.hashes[i], hash) << "request " << i;
-    EXPECT_EQ(concurrent.misses[i], fx.instance->pool->stats().misses)
+    EXPECT_EQ(concurrent.misses[i], fx.instance->reader->PoolStats().misses)
         << "request " << i;
   }
 }
@@ -188,7 +185,7 @@ TEST(QueryServiceTest, OversubscriptionManyMoreQueriesThanWorkers) {
   ServiceOptions opts = fx.Options(2);
   opts.queue_capacity = 8;
   auto service =
-      QueryService::Create(&fx.instance->disk, fx.instance->files, opts);
+      QueryService::Create(&fx.instance->storage, fx.instance->files, opts);
   ASSERT_TRUE(service.ok());
   auto requests = fx.MixedWorkload(60);
   RunRecord record = RunThrough(**service, requests);
@@ -205,7 +202,7 @@ TEST(QueryServiceTest, OversubscriptionManyMoreQueriesThanWorkers) {
 
 TEST(QueryServiceTest, DrainCompletesBacklogAndShutdownRejects) {
   ServiceFixture fx;
-  auto service = QueryService::Create(&fx.instance->disk,
+  auto service = QueryService::Create(&fx.instance->storage,
                                       fx.instance->files, fx.Options(2));
   ASSERT_TRUE(service.ok());
   auto requests = fx.MixedWorkload(20);
@@ -231,7 +228,7 @@ TEST(QueryServiceTest, NonDrainingShutdownResolvesBacklogWithErrors) {
   ServiceOptions opts = fx.Options(1);
   opts.queue_capacity = 64;
   auto service =
-      QueryService::Create(&fx.instance->disk, fx.instance->files, opts);
+      QueryService::Create(&fx.instance->storage, fx.instance->files, opts);
   ASSERT_TRUE(service.ok());
   auto requests = fx.MixedWorkload(40);
   std::vector<std::future<QueryResult>> futures;
@@ -247,23 +244,20 @@ TEST(QueryServiceTest, NonDrainingShutdownResolvesBacklogWithErrors) {
 
 TEST(QueryServiceTest, InvalidRequestsFailCleanlyWithoutPoisoningWorkers) {
   ServiceFixture fx;
-  auto service = QueryService::Create(&fx.instance->disk,
+  auto service = QueryService::Create(&fx.instance->storage,
                                       fx.instance->files, fx.Options(2));
   ASSERT_TRUE(service.ok());
   Random rng(5);
 
-  QueryRequest bad_weights;
-  bad_weights.kind = QueryKind::kTopK;
-  bad_weights.location = fx.instance->RandomQueryLocation(rng);
-  bad_weights.weights = {1.0};  // wrong dimension
+  // Wrong weight dimension.
+  api::QuerySpec bad_weights =
+      api::TopKSpec(fx.instance->RandomQueryLocation(rng), 4, {1.0});
   QueryResult bad = (*service)->Submit(bad_weights).get();
   EXPECT_FALSE(bad.status.ok());
 
-  QueryRequest bad_k;
-  bad_k.kind = QueryKind::kIncrementalTopK;
-  bad_k.location = fx.instance->RandomQueryLocation(rng);
-  bad_k.weights = test::TestWeights(fx.instance->graph.num_costs(), 3);
-  bad_k.k = 0;
+  api::QuerySpec bad_k = api::IncrementalSpec(
+      fx.instance->RandomQueryLocation(rng), /*first_batch=*/0,
+      test::TestWeights(fx.instance->graph.num_costs(), 3));
   EXPECT_FALSE((*service)->Submit(bad_k).get().status.ok());
 
   // The worker that executed the failures still serves good queries.
@@ -277,32 +271,33 @@ TEST(QueryServiceTest, InvalidRequestsFailCleanlyWithoutPoisoningWorkers) {
 
 TEST(QueryServiceTest, DiskIsFrozenWhileServiceLives) {
   ServiceFixture fx;
-  auto service = QueryService::Create(&fx.instance->disk,
+  auto service = QueryService::Create(&fx.instance->storage,
                                       fx.instance->files, fx.Options(1));
   ASSERT_TRUE(service.ok());
-  EXPECT_EQ(fx.instance->disk.concurrent_reader_scopes(), 1);
+  const storage::DiskManager& disk = *fx.instance->storage.disk(0);
+  EXPECT_EQ(disk.concurrent_reader_scopes(), 1);
   (*service)->Shutdown();
-  EXPECT_EQ(fx.instance->disk.concurrent_reader_scopes(), 0);
+  EXPECT_EQ(disk.concurrent_reader_scopes(), 0);
 }
 
 TEST(QueryServiceTest, IntraQueryParallelismKeepsHashesIdentical) {
-  // QueryRequest::parallelism routes a query onto the worker's turn-barrier
+  // QuerySpec::parallelism routes a query onto the worker's turn-barrier
   // rig (DESIGN.md §7). The turn schedule must be byte-identical whether it
   // runs inline (parallelism 1) or on probe workers (parallelism 4), for
   // every query kind; the classic serial path (parallelism 0) must agree
   // on the result sets, checked here via skyline sizes and top-k hashes.
   ServiceFixture fx;
-  std::vector<QueryRequest> base = fx.MixedWorkload(12);
-  for (QueryRequest& req : base) req.engine = expand::EngineKind::kCea;
+  std::vector<api::QuerySpec> base = fx.MixedWorkload(12);
+  for (api::QuerySpec& req : base) req.engine = expand::EngineKind::kCea;
 
   auto run_with_parallelism = [&](int parallelism) {
     ServiceOptions opts = fx.Options(2);
     opts.per_query_parallelism = 4;
-    auto service = QueryService::Create(&fx.instance->disk,
+    auto service = QueryService::Create(&fx.instance->storage,
                                         fx.instance->files, opts);
     EXPECT_TRUE(service.ok());
-    std::vector<QueryRequest> requests = base;
-    for (QueryRequest& req : requests) req.parallelism = parallelism;
+    std::vector<api::QuerySpec> requests = base;
+    for (api::QuerySpec& req : requests) req.parallelism = parallelism;
     RunRecord record = RunThrough(**service, requests);
     (*service)->Shutdown();
     return record;
@@ -330,13 +325,12 @@ TEST(QueryServiceTest, WarmCacheModeReducesMisses) {
   opts.cold_cache_per_query = false;
   opts.pool_frames_per_worker = 4096;  // large enough to keep every page
   auto service =
-      QueryService::Create(&fx.instance->disk, fx.instance->files, opts);
+      QueryService::Create(&fx.instance->storage, fx.instance->files, opts);
   ASSERT_TRUE(service.ok());
   // The same query twice on one worker: the second run hits the warm pool.
   Random rng(21);
-  QueryRequest req;
-  req.kind = QueryKind::kSkyline;
-  req.location = fx.instance->RandomQueryLocation(rng);
+  const api::QuerySpec req =
+      api::SkylineSpec(fx.instance->RandomQueryLocation(rng));
   QueryResult first = (*service)->Submit(req).get();
   QueryResult second = (*service)->Submit(req).get();
   ASSERT_TRUE(first.status.ok());

@@ -43,7 +43,7 @@ TEST(SessionEvictionStressTest, ActiveSessionsSurviveTinyIdleTimeout) {
 
   ServiceOptions options;
   options.num_workers = 4;
-  options.pool_frames_per_worker = instance->pool->capacity();
+  options.pool_frames_per_worker = instance->pool_frames;
   // The regression dials: an idle timeout below one batch's modeled I/O
   // time. Each miss sleeps 2ms for real, so a cold batch over the tiny
   // pool takes well over the 50ms timeout — any eviction pass that
@@ -60,7 +60,8 @@ TEST(SessionEvictionStressTest, ActiveSessionsSurviveTinyIdleTimeout) {
   // and let the idle timeout be the only reclaim path.
   options.max_sessions = 64;
   auto service =
-      QueryService::Create(&instance->disk, instance->files, options).value();
+      QueryService::Create(&instance->storage, instance->files, options)
+          .value();
 
   std::atomic<bool> stop{false};
   std::atomic<int> not_found{0};

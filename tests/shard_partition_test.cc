@@ -3,21 +3,17 @@
 //  * GridTilePartitioner produces valid, reasonably balanced partitions
 //    and every edge's endpoints resolve to the recorded shards (the
 //    canonical-u ownership rule);
-//  * the K = 1 sharded build is page-for-page identical to the flat
-//    net::BuildNetwork across the four query files — the degeneration
-//    anchor of the determinism contract;
 //  * boundary records and the routing table round-trip through
 //    storage/persistence.cc (SaveDiskImage + LoadDiskImage), so a sharded
 //    database image is self-describing across processes;
-//  * the routing ShardedNetworkReader returns byte-identical records to
-//    the flat reader for every node/edge/facility, with the local/remote
-//    accounting consistent with the routing table.
+//  * a K = 4 routing ShardedNetworkReader returns byte-identical records
+//    to the single-shard (K = 1) reader for every node/edge/facility, with
+//    the local/remote accounting consistent with the routing table.
 //
 // All randomness derives from MCN_TEST_SEED (logged on entry).
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -25,7 +21,6 @@
 
 #include "mcn/gen/workload.h"
 #include "mcn/graph/multi_cost_graph.h"
-#include "mcn/net/network_builder.h"
 #include "mcn/net/network_reader.h"
 #include "mcn/shard/partition.h"
 #include "mcn/shard/sharded_builder.h"
@@ -38,7 +33,8 @@
 namespace mcn::shard {
 namespace {
 
-std::unique_ptr<gen::Instance> SmallInstance(uint64_t seed, int d = 3) {
+std::unique_ptr<gen::ShardedInstance> SmallInstance(uint64_t seed,
+                                                    int d = 3) {
   test::SmallConfig config;
   config.num_costs = d;
   config.seed = seed;
@@ -127,39 +123,6 @@ TEST(ShardedBuildTest, EdgeEndpointsResolveToRecordedShards) {
   EXPECT_EQ(facilities, instance->facilities.size());
 }
 
-// K = 1 degenerates to the flat layout: the four query files carry
-// identical page images (same file ids, same page counts, same bytes).
-TEST(ShardedBuildTest, SingleShardMatchesFlatBuildByteForByte) {
-  const uint64_t base = test::AnnounceSeed("shard_partition_test");
-  auto instance = SmallInstance(test::DeriveSeed(base, 13));
-
-  ShardedStorage sstore(SingleShardPartition(instance->graph.num_nodes()));
-  auto sharded =
-      BuildShardedNetwork(&sstore, instance->graph, instance->facilities)
-          .value();
-  ASSERT_EQ(sharded.num_shards(), 1);
-  const net::NetworkFiles& flat = instance->files;
-  const net::NetworkFiles& s0 = sharded.shards[0];
-  EXPECT_EQ(s0.adjacency_file, flat.adjacency_file);
-  EXPECT_EQ(s0.facility_file, flat.facility_file);
-  EXPECT_EQ(s0.total_pages, flat.total_pages);
-  EXPECT_EQ(sharded.total_pages, flat.total_pages);
-
-  for (storage::FileId f : {flat.facility_file, flat.adjacency_file,
-                            flat.adjacency_tree.file(),
-                            flat.facility_tree.file()}) {
-    const uint32_t flat_pages = instance->disk.NumPages(f).value();
-    ASSERT_EQ(sstore.disk(0)->NumPages(f).value(), flat_pages)
-        << "file " << f;
-    for (storage::PageNo p = 0; p < flat_pages; ++p) {
-      const std::byte* a = instance->disk.PageData({f, p}).value();
-      const std::byte* b = sstore.disk(0)->PageData({f, p}).value();
-      ASSERT_EQ(std::memcmp(a, b, storage::kPageSize), 0)
-          << "file " << f << " page " << p;
-    }
-  }
-}
-
 // Boundary records round-trip: builder -> decode, and builder -> disk
 // image (persistence.cc) -> reload -> decode.
 TEST(ShardedBuildTest, BoundaryRecordsRoundTripThroughPersistence) {
@@ -239,8 +202,8 @@ TEST(ShardedBuildTest, RoutingTableRoundTripsThroughPersistence) {
   EXPECT_EQ(table.facility_shard, files.facility_shard);
 }
 
-// The routing reader serves byte-identical records to the flat reader and
-// accounts local/remote against the routing table.
+// The K = 4 routing reader serves byte-identical records to the K = 1
+// reader and accounts local/remote against the routing table.
 TEST(ShardedReaderTest, MatchesFlatReaderAndCountsRemote) {
   const uint64_t base = test::AnnounceSeed("shard_partition_test");
   auto instance = SmallInstance(test::DeriveSeed(base, 55));
@@ -250,7 +213,9 @@ TEST(ShardedReaderTest, MatchesFlatReaderAndCountsRemote) {
   ShardedStorage sstore(part);
   auto files =
       BuildShardedNetwork(&sstore, g, instance->facilities).value();
-  ShardedNetworkReader reader(&sstore, files, /*frames_per_shard=*/8);
+  ShardedNetworkReader reader(
+      &sstore, files,
+      std::vector<size_t>(static_cast<size_t>(part.num_shards), 8));
 
   EXPECT_EQ(reader.num_nodes(), g.num_nodes());
   EXPECT_EQ(reader.num_costs(), g.num_costs());
@@ -258,40 +223,40 @@ TEST(ShardedReaderTest, MatchesFlatReaderAndCountsRemote) {
 
   reader.set_home_shard(0);
   uint64_t expect_local = 0, expect_remote = 0;
-  std::vector<net::AdjEntry> flat_adj, sharded_adj;
-  std::vector<net::FacilityOnEdge> flat_fac, sharded_fac;
+  std::vector<net::AdjEntry> single_adj, sharded_adj;
+  std::vector<net::FacilityOnEdge> single_fac, sharded_fac;
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_TRUE(reader.GetAdjacency(v, &sharded_adj).ok());
-    ASSERT_TRUE(instance->reader->GetAdjacency(v, &flat_adj).ok());
+    ASSERT_TRUE(instance->reader->GetAdjacency(v, &single_adj).ok());
     part.of_node(v) == 0 ? ++expect_local : ++expect_remote;
-    ASSERT_EQ(sharded_adj.size(), flat_adj.size()) << "node " << v;
-    for (size_t i = 0; i < flat_adj.size(); ++i) {
-      EXPECT_EQ(sharded_adj[i].neighbor, flat_adj[i].neighbor);
-      EXPECT_EQ(sharded_adj[i].fac.count, flat_adj[i].fac.count);
+    ASSERT_EQ(sharded_adj.size(), single_adj.size()) << "node " << v;
+    for (size_t i = 0; i < single_adj.size(); ++i) {
+      EXPECT_EQ(sharded_adj[i].neighbor, single_adj[i].neighbor);
+      EXPECT_EQ(sharded_adj[i].fac.count, single_adj[i].fac.count);
       for (int c = 0; c < g.num_costs(); ++c) {
-        EXPECT_EQ(sharded_adj[i].w[c], flat_adj[i].w[c]);
+        EXPECT_EQ(sharded_adj[i].w[c], single_adj[i].w[c]);
       }
       // Facility record contents are identical even though the sharded
       // FacRef points into a different (shard-local) file position.
-      if (flat_adj[i].fac.empty()) continue;
-      graph::EdgeKey key(v, flat_adj[i].neighbor);
+      if (single_adj[i].fac.empty()) continue;
+      graph::EdgeKey key(v, single_adj[i].neighbor);
       ASSERT_TRUE(
           reader.GetFacilities(key, sharded_adj[i].fac, &sharded_fac).ok());
       ASSERT_TRUE(instance->reader
-                      ->GetFacilities(key, flat_adj[i].fac, &flat_fac)
+                      ->GetFacilities(key, single_adj[i].fac, &single_fac)
                       .ok());
       part.of_edge(key) == 0 ? ++expect_local : ++expect_remote;
-      ASSERT_EQ(sharded_fac.size(), flat_fac.size());
-      for (size_t j = 0; j < flat_fac.size(); ++j) {
-        EXPECT_EQ(sharded_fac[j].facility, flat_fac[j].facility);
-        EXPECT_EQ(sharded_fac[j].frac, flat_fac[j].frac);
+      ASSERT_EQ(sharded_fac.size(), single_fac.size());
+      for (size_t j = 0; j < single_fac.size(); ++j) {
+        EXPECT_EQ(sharded_fac[j].facility, single_fac[j].facility);
+        EXPECT_EQ(sharded_fac[j].frac, single_fac[j].frac);
       }
     }
   }
   for (graph::FacilityId f = 0; f < instance->facilities.size(); ++f) {
     auto sharded_edge = reader.LocateFacilityEdge(f).value();
-    auto flat_edge = instance->reader->LocateFacilityEdge(f).value();
-    EXPECT_EQ(sharded_edge, flat_edge);
+    auto single_edge = instance->reader->LocateFacilityEdge(f).value();
+    EXPECT_EQ(sharded_edge, single_edge);
     files.facility_shard[f] == 0 ? ++expect_local : ++expect_remote;
   }
 

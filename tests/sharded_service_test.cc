@@ -1,9 +1,10 @@
-// exec::QueryService in sharded mode (DESIGN.md §8): shard-affine worker
-// groups over a shard::ShardedStorage, affinity-routed Submit, per-shard
-// service statistics, and the determinism contract — result hashes are
-// byte-identical to the flat service for every K in {1, 2, 4}, every
-// worker count, and every intra-query parallelism level. Runs under TSan
-// in CI (label: stress).
+// exec::QueryService across shard counts (DESIGN.md §8): shard-affine
+// worker groups over a shard::ShardedStorage, affinity-routed Submit,
+// per-shard service statistics (one-shot queries and session batches
+// alike), and the determinism contract — result hashes are byte-identical
+// to a single-worker K = 1 service for every K in {1, 2, 4}, every worker
+// count, and every intra-query parallelism level. Runs under TSan in CI
+// (label: stress).
 #include <gtest/gtest.h>
 
 #include <future>
@@ -31,32 +32,28 @@ gen::ExperimentConfig SmallServiceConfig(uint64_t seed) {
   return config;
 }
 
-std::vector<QueryRequest> MixedWorkload(const gen::ShardedInstance& instance,
-                                        uint64_t seed, int count) {
+std::vector<api::QuerySpec> MixedWorkload(
+    const gen::ShardedInstance& instance, uint64_t seed, int count) {
   Random rng(seed);
   const int d = instance.graph.num_costs();
-  std::vector<QueryRequest> requests;
+  std::vector<api::QuerySpec> requests;
   requests.reserve(count);
   for (int i = 0; i < count; ++i) {
-    QueryRequest request;
-    request.location = instance.RandomQueryLocation(rng);
+    const graph::Location loc = instance.RandomQueryLocation(rng);
+    api::QuerySpec request;
     switch (i % 3) {
       case 0:
-        request.kind = QueryKind::kSkyline;
+        request = api::SkylineSpec(loc);
         break;
       case 1:
-        request.kind = QueryKind::kTopK;
-        request.k = 4;
+        request = api::TopKSpec(loc, 4, test::TestWeights(d, seed + i));
         break;
       case 2:
-        request.kind = QueryKind::kIncrementalTopK;
-        request.k = 3;
+        request =
+            api::IncrementalSpec(loc, 3, test::TestWeights(d, seed + i));
         break;
     }
     request.parallelism = i % 4 == 3 ? 2 : 0;  // mix in pooled turns
-    if (request.kind != QueryKind::kSkyline) {
-      request.weights = test::TestWeights(d, seed + i);
-    }
     requests.push_back(request);
   }
   return requests;
@@ -70,11 +67,11 @@ struct RunOutcome {
 };
 
 RunOutcome RunThrough(QueryService& service,
-                      const std::vector<QueryRequest>& requests) {
+                      const std::vector<api::QuerySpec>& requests) {
   std::vector<std::future<QueryResult>> futures;
   futures.reserve(requests.size());
-  for (const QueryRequest& request : requests) {
-    futures.push_back(service.Submit(QueryRequest(request)));
+  for (const api::QuerySpec& request : requests) {
+    futures.push_back(service.Submit(request));
   }
   RunOutcome outcome;
   for (auto& future : futures) {
@@ -100,27 +97,29 @@ class ShardedServiceTest : public ::testing::Test {
 // miss counts are invariant in worker count at fixed K.
 TEST_F(ShardedServiceTest, DeterministicAcrossShardAndWorkerCounts) {
   const gen::ExperimentConfig config = SmallServiceConfig(seed_);
-  auto flat = gen::BuildInstance(config).value();
+  auto reference = gen::BuildShardedInstance(config, 1).value();
 
-  // Flat single-worker reference.
-  std::vector<QueryRequest> requests;
+  // Single-worker K = 1 reference.
+  const std::vector<api::QuerySpec> requests =
+      MixedWorkload(*reference, test::DeriveSeed(seed_, 1), 24);
   std::vector<uint64_t> reference_hashes;
   {
-    auto k1 = gen::BuildShardedInstance(config, 1).value();
-    requests = MixedWorkload(*k1, test::DeriveSeed(seed_, 1), 24);
     ServiceOptions opts;
     opts.num_workers = 1;
-    opts.pool_frames_per_worker = flat->pool->capacity();
+    opts.pool_frames_per_worker = reference->pool_frames;
     opts.per_query_parallelism = 2;
-    auto service =
-        QueryService::Create(&flat->disk, flat->files, opts).value();
+    auto service = QueryService::Create(&reference->storage,
+                                        reference->files, opts)
+                       .value();
     reference_hashes = RunThrough(*service, requests).hashes;
     service->Shutdown();
   }
 
   for (int k : {1, 2, 4}) {
     auto instance = gen::BuildShardedInstance(config, k).value();
-    if (k == 1) ASSERT_EQ(instance->pool_frames, flat->pool->capacity());
+    if (k == 1) {
+      ASSERT_EQ(instance->pool_frames, reference->pool_frames);
+    }
     std::optional<std::vector<uint64_t>> miss_baseline;
     for (int workers : {1, 4}) {
       for (bool pin : {false, true}) {
@@ -132,7 +131,6 @@ TEST_F(ShardedServiceTest, DeterministicAcrossShardAndWorkerCounts) {
         auto service = QueryService::Create(&instance->storage,
                                             instance->files, opts)
                            .value();
-        ASSERT_TRUE(service->sharded());
         EXPECT_EQ(service->num_groups(), std::min(k, workers));
         RunOutcome outcome = RunThrough(*service, requests);
         service->Shutdown();
@@ -199,6 +197,75 @@ TEST_F(ShardedServiceTest, AffinityRoutingAndPerShardStats) {
   EXPECT_GT(remote, 0u) << "d-expansions over 4 tiles must cross a cut";
 }
 
+uint64_t RoutedFetches(const ServiceStats& stats) {
+  uint64_t total = 0;
+  for (const auto& row : stats.per_shard) {
+    total += row.local_fetches + row.remote_fetches;
+  }
+  return total;
+}
+
+// Session batches read through the session's own reader set, not a
+// worker's: their routed fetches must still reach the per-shard
+// local/remote counters, on the session's home shard, batch by batch.
+TEST_F(ShardedServiceTest, SessionBatchesCountRoutedFetches) {
+  const gen::ExperimentConfig config = SmallServiceConfig(seed_);
+  const int k = 4;
+  auto instance = gen::BuildShardedInstance(config, k).value();
+  ServiceOptions opts;
+  opts.num_workers = 4;
+  opts.pool_frames_per_worker = instance->pool_frames;
+  auto service =
+      QueryService::Create(&instance->storage, instance->files, opts)
+          .value();
+  const shard::Partition& part = instance->storage.partition();
+  const int d = instance->graph.num_costs();
+  Random rng(test::DeriveSeed(seed_, 5));
+  int batches_with_io = 0;
+  for (int s = 0; s < 8; ++s) {
+    const graph::Location loc = instance->RandomQueryLocation(rng);
+    const shard::ShardId home = loc.is_node() ? part.of_node(loc.node())
+                                              : part.of_edge(loc.edge());
+    const SessionId id =
+        service
+            ->OpenSession(api::IncrementalSpec(
+                loc, 4, test::TestWeights(d, test::DeriveSeed(seed_, s))))
+            .value();
+    for (int batch = 0; batch < 3; ++batch) {
+      const ServiceStats before = service->Snapshot();
+      QueryResult result = service->SessionNext(id, 4).get();
+      ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+      const ServiceStats after = service->Snapshot();
+      EXPECT_EQ(after.session_batches, before.session_batches + 1);
+      // Every record the batch read went through a routed fetch (each of
+      // which touches the pool), so the counters rise exactly when the
+      // batch did any I/O — and only on the session's home shard.
+      if (result.stats.buffer_accesses == 0) {
+        EXPECT_EQ(RoutedFetches(after), RoutedFetches(before));
+        continue;
+      }
+      ++batches_with_io;
+      EXPECT_GT(RoutedFetches(after), RoutedFetches(before))
+          << "session " << s << " batch " << batch;
+      for (int shard = 0; shard < k; ++shard) {
+        const auto& was = before.per_shard[shard];
+        const auto& now = after.per_shard[shard];
+        const uint64_t delta = now.local_fetches + now.remote_fetches -
+                               was.local_fetches - was.remote_fetches;
+        if (shard == static_cast<int>(home)) {
+          EXPECT_GT(delta, 0u) << "session " << s << " batch " << batch;
+        } else {
+          EXPECT_EQ(delta, 0u) << "session " << s << " batch " << batch;
+        }
+      }
+    }
+    ASSERT_TRUE(service->CloseSession(id).ok());
+  }
+  // The first batch of a session always reads (engine seeding).
+  EXPECT_GE(batches_with_io, 8);
+  service->Shutdown();
+}
+
 TEST_F(ShardedServiceTest, SingleShardHasNoRemoteFetches) {
   const gen::ExperimentConfig config = SmallServiceConfig(seed_);
   auto instance = gen::BuildShardedInstance(config, 1).value();
@@ -228,8 +295,8 @@ TEST_F(ShardedServiceTest, DrainAndShutdownAcrossGroups) {
   const auto requests =
       MixedWorkload(*instance, test::DeriveSeed(seed_, 4), 16);
   std::vector<std::future<QueryResult>> futures;
-  for (const QueryRequest& request : requests) {
-    futures.push_back(service->Submit(QueryRequest(request)));
+  for (const api::QuerySpec& request : requests) {
+    futures.push_back(service->Submit(request));
   }
   service->Drain();
   for (auto& future : futures) {
@@ -237,7 +304,7 @@ TEST_F(ShardedServiceTest, DrainAndShutdownAcrossGroups) {
   }
   service->Shutdown();
   // Submitting after shutdown resolves immediately with an error.
-  auto rejected = service->Submit(QueryRequest(requests[0]));
+  auto rejected = service->Submit(requests[0]);
   EXPECT_FALSE(rejected.get().status.ok());
 }
 

@@ -12,12 +12,14 @@ namespace mcn::test {
 
 DiskFixture::DiskFixture(graph::MultiCostGraph g, graph::FacilitySet f,
                          size_t buffer_frames)
-    : graph(std::move(g)), facilities(std::move(f)) {
-  auto built = net::BuildNetwork(&disk, graph, facilities);
+    : graph(std::move(g)),
+      facilities(std::move(f)),
+      storage(shard::SingleShardPartition(graph.num_nodes())) {
+  auto built = shard::BuildShardedNetwork(&storage, graph, facilities);
   MCN_CHECK(built.ok());
-  files = built.value();
-  pool = std::make_unique<storage::BufferPool>(&disk, buffer_frames);
-  reader = std::make_unique<net::NetworkReader>(files, pool.get());
+  files = std::move(built).value();
+  reader = std::make_unique<shard::ShardedNetworkReader>(
+      &storage, files, std::vector<size_t>{buffer_frames});
 }
 
 graph::MultiCostGraph TinyGraph() {
@@ -63,7 +65,7 @@ graph::FacilitySet TinyFacilities(const graph::MultiCostGraph& g) {
   return f;
 }
 
-Result<std::unique_ptr<gen::Instance>> MakeSmallInstance(
+Result<std::unique_ptr<gen::ShardedInstance>> MakeSmallInstance(
     const SmallConfig& config) {
   gen::ExperimentConfig ec;
   ec.nodes = config.nodes;
@@ -74,7 +76,7 @@ Result<std::unique_ptr<gen::Instance>> MakeSmallInstance(
   ec.distribution = config.distribution;
   ec.buffer_pct = config.buffer_pct;
   ec.seed = config.seed;
-  return gen::BuildInstance(ec);
+  return gen::BuildShardedInstance(ec, /*num_shards=*/1);
 }
 
 OracleResult OracleReachableCosts(const graph::MultiCostGraph& g,

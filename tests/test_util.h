@@ -15,24 +15,29 @@
 #include "mcn/graph/facility.h"
 #include "mcn/graph/location.h"
 #include "mcn/graph/multi_cost_graph.h"
-#include "mcn/net/network_builder.h"
-#include "mcn/net/network_reader.h"
+#include "mcn/shard/sharded_builder.h"
+#include "mcn/shard/sharded_reader.h"
+#include "mcn/shard/sharded_storage.h"
 #include "mcn/storage/buffer_pool.h"
 #include "mcn/storage/disk_manager.h"
 
 namespace mcn::test {
 
-/// A graph + facilities materialized on a fresh simulated disk.
+/// A graph + facilities materialized as a single-shard (K = 1) network on
+/// a fresh simulated disk, with a `buffer_frames`-frame reader on top.
 struct DiskFixture {
   DiskFixture(graph::MultiCostGraph g, graph::FacilitySet f,
               size_t buffer_frames);
 
   graph::MultiCostGraph graph;
   graph::FacilitySet facilities;
-  storage::DiskManager disk;
-  net::NetworkFiles files;
-  std::unique_ptr<storage::BufferPool> pool;
-  std::unique_ptr<net::NetworkReader> reader;
+  shard::ShardedStorage storage;
+  shard::ShardedNetworkFiles files;
+  std::unique_ptr<shard::ShardedNetworkReader> reader;
+
+  /// The single shard's disk and the reader's pool over it.
+  storage::DiskManager& disk() { return *storage.disk(0); }
+  storage::BufferPool& pool() { return *reader->shard_pool(0); }
 };
 
 /// The running example of the paper's Fig. 1 flavor: a small two-cost
@@ -52,7 +57,8 @@ struct SmallConfig {
   double buffer_pct = 1.0;
   uint64_t seed = 1;
 };
-Result<std::unique_ptr<gen::Instance>> MakeSmallInstance(
+/// Built as K = 1 (gen::BuildShardedInstance(config, 1)).
+Result<std::unique_ptr<gen::ShardedInstance>> MakeSmallInstance(
     const SmallConfig& config);
 
 /// Oracle: exact cost vectors via d in-memory Dijkstras; facilities

@@ -30,7 +30,6 @@ void ExpectSameScores(const std::vector<RankedItem>& got,
 TEST(ThresholdAlgorithmTest, EmptyInput) {
   algo::AggregateFn f = algo::WeightedSum({1.0, 1.0});
   EXPECT_TRUE(ThresholdAlgorithm({}, f, 3).empty());
-  EXPECT_TRUE(NoRandomAccessTopK({}, f, 3).empty());
 }
 
 TEST(ThresholdAlgorithmTest, HandExample) {
@@ -88,20 +87,6 @@ TEST_P(ClassicTopKSweep, TaMatchesBruteForce) {
                    BruteForceTopK(data, f, p.k));
 }
 
-TEST_P(ClassicTopKSweep, NraMatchesBruteForce) {
-  const ClassicParam& p = GetParam();
-  Random rng(p.seed + 100);
-  auto data = RandomTuples(rng, p.n, p.d,
-                           gen::CostDistribution::kAntiCorrelated);
-  std::vector<double> weights(p.d);
-  for (double& w : weights) w = rng.UniformDouble(0.1, 1.0);
-  algo::AggregateFn f = algo::WeightedSum(weights);
-  NraStats stats;
-  ExpectSameScores(NoRandomAccessTopK(data, f, p.k, &stats),
-                   BruteForceTopK(data, f, p.k));
-  EXPECT_GT(stats.sorted_accesses, 0u);
-}
-
 TEST_P(ClassicTopKSweep, KLargerThanInput) {
   const ClassicParam& p = GetParam();
   Random rng(p.seed + 200);
@@ -109,7 +94,6 @@ TEST_P(ClassicTopKSweep, KLargerThanInput) {
   std::vector<double> weights(p.d, 1.0);
   algo::AggregateFn f = algo::WeightedSum(weights);
   EXPECT_EQ(ThresholdAlgorithm(data, f, 50).size(), 5u);
-  EXPECT_EQ(NoRandomAccessTopK(data, f, 50).size(), 5u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -130,8 +114,6 @@ TEST(ThresholdAlgorithmTest, NonLinearMonotoneAggregate) {
     return c.MaxComponent();
   };
   ExpectSameScores(ThresholdAlgorithm(data, f, 5),
-                   BruteForceTopK(data, f, 5));
-  ExpectSameScores(NoRandomAccessTopK(data, f, 5),
                    BruteForceTopK(data, f, 5));
 }
 
