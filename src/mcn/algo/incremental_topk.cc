@@ -1,6 +1,8 @@
 #include "mcn/algo/incremental_topk.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "mcn/algo/turn_dispatch.h"
 #include "mcn/common/macros.h"
@@ -63,15 +65,39 @@ TopKEntry IncrementalTopK::MakeEntry(graph::FacilityId f,
   return TopKEntry{f, store_.costs(s), score};
 }
 
+double IncrementalTopK::CandidateBound(uint32_t s) const {
+  const CandidateStore::Slot& st = store_.slot(s);
+  graph::CostVector lb = store_.costs(s);
+  for (int j = 0; j < d_; ++j) {
+    if (!st.Knows(j)) lb[j] = engine_->Frontier(j);
+  }
+  return f_(lb);
+}
+
+bool IncrementalTopK::HeadIsSafe(double score) {
+  // Every comparison with a NaN score is false: the scan never reports
+  // such a head before total exhaustion, and neither does this.
+  if (std::isnan(score)) return false;
+  while (!bounds_.empty()) {
+    const BoundEntry top = bounds_.top();
+    if (store_.slot(top.slot).pinned) {
+      bounds_.pop();  // pinned since it was keyed
+      continue;
+    }
+    if (top.key >= score) return true;  // every cached key is a lower bound
+    bounds_.pop();
+    const double bound = CandidateBound(top.slot);
+    bounds_.push(
+        BoundEntry{std::isnan(bound) ? expand::kInfCost : bound, top.slot});
+    if (bound < score) return false;
+  }
+  return true;
+}
+
 double IncrementalTopK::MinCandidateLowerBound() const {
   double min_lb = expand::kInfCost;
   for (uint32_t s : store_.candidates()) {
-    const CandidateStore::Slot& st = store_.slot(s);
-    graph::CostVector lb = store_.costs(s);
-    for (int j = 0; j < d_; ++j) {
-      if (!st.Knows(j)) lb[j] = engine_->Frontier(j);
-    }
-    min_lb = std::min(min_lb, f_(lb));
+    min_lb = std::min(min_lb, CandidateBound(s));
   }
   return min_lb;
 }
@@ -104,12 +130,28 @@ Status IncrementalTopK::AdvanceTurn() {
       });
 }
 
+Status IncrementalTopK::CheckNotFailed() const {
+  if (failure_.ok()) return Status::OK();
+  return Status::FailedPrecondition(
+      "incremental top-k stream failed earlier (" + failure_.ToString() +
+      "); open a new query");
+}
+
 Result<std::optional<TopKEntry>> IncrementalTopK::NextBest() {
+  MCN_RETURN_IF_ERROR(CheckNotFailed());
+  auto next = Pull();
+  if (!next.ok()) failure_ = next.status();
+  return next;
+}
+
+Result<std::optional<TopKEntry>> IncrementalTopK::Pull() {
   for (;;) {
     if (!pinned_.empty()) {
       HeapEntry head = pinned_.top();
       ++stats_.safety_checks;
-      if (MinCandidateLowerBound() >= head.score) {
+      const bool safe = HeadIsSafe(head.score);
+      MCN_DCHECK(safe == (MinCandidateLowerBound() >= head.score));
+      if (safe) {
         pinned_.pop();
         ++stats_.reported;
         return std::optional<TopKEntry>(
@@ -151,6 +193,7 @@ Result<std::optional<TopKEntry>> IncrementalTopK::NextBest() {
 
 Result<std::vector<TopKEntry>> IncrementalTopK::NextBatch(
     int n, const KeepFn& keep) {
+  MCN_RETURN_IF_ERROR(CheckNotFailed());
   std::vector<TopKEntry> batch;
   if (n <= 0) return batch;
   // `n` can be remote-controlled (a wire kNext/kExecute frame): cap the
@@ -173,6 +216,7 @@ Status IncrementalTopK::HandlePop(int i, graph::FacilityId f, double cost) {
   if (created) {
     ++stats_.facilities_seen;
     store_.AddCandidate(s);
+    bounds_.push(BoundEntry{-expand::kInfCost, s});
   }
   store_.SetCost(s, i, cost);
   CandidateStore::Slot& st = store_.slot(s);

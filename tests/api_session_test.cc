@@ -3,7 +3,7 @@
 // of malformed specs (no worker crashes), preference-constraint semantics,
 // and the streaming incremental session lifecycle — local-iterator parity,
 // bounded session table with LRU + idle eviction, close/unknown-id
-// behavior.
+// behavior, and a failed batch ending the stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include "mcn/algo/incremental_topk.h"
 #include "mcn/algo/result_hash.h"
 #include "mcn/api/query_spec.h"
+#include "mcn/common/fault_injector.h"
 #include "mcn/common/random.h"
 #include "mcn/exec/query_service.h"
 #include "mcn/expand/engines.h"
@@ -422,6 +423,42 @@ TEST(ApiSessionTest, SessionsSurviveAcrossSubmitTraffic) {
                                           streamed.begin() + n);
   EXPECT_EQ(algo::HashResult(got_prefix), algo::HashResult(exp_prefix));
   EXPECT_GT(n, 0u);
+  (*service)->Shutdown();
+}
+
+// A session batch that fails inside the iterator ends the stream: the
+// rows it had already passed are gone, so after the fault heals the next
+// batch must refuse (FailedPrecondition) instead of resuming past them.
+TEST(ApiSessionTest, FailedBatchEndsTheSession) {
+  ApiFixture fx;
+  auto service = QueryService::Create(&fx.instance->storage,
+                                      fx.instance->files, fx.Options(2));
+  ASSERT_TRUE(service.ok());
+  auto session = (*service)->OpenSession(api::IncrementalSpec(
+      fx.Location(71), 4, test::TestWeights(fx.d(), 71)));
+  ASSERT_TRUE(session.ok());
+
+  QueryResult good = (*service)->SessionNext(*session, 2).get();
+  ASSERT_TRUE(good.status.ok()) << good.status.ToString();
+  ASSERT_EQ(good.topk.size(), 2u);
+
+  FaultInjector::Options fault_options;
+  fault_options.disk_eio = 1.0;
+  FaultInjector injector(fault_options);
+  FaultInjector::Install(&injector);
+  // Asks for the whole component, so the batch must read past the pool.
+  QueryResult faulted = (*service)->SessionNext(*session, 1 << 20).get();
+  FaultInjector::Install(nullptr);
+  ASSERT_FALSE(faulted.status.ok());
+  EXPECT_EQ(faulted.status.code(), StatusCode::kIOError)
+      << faulted.status.ToString();
+
+  QueryResult after = (*service)->SessionNext(*session, 2).get();
+  EXPECT_EQ(after.status.code(), StatusCode::kFailedPrecondition)
+      << after.status.ToString();
+  EXPECT_TRUE(after.topk.empty());
+  // The session stays in the table until closed; a reopen starts afresh.
+  EXPECT_EQ((*service)->CloseSession(*session), Status::OK());
   (*service)->Shutdown();
 }
 

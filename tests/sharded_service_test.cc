@@ -1,12 +1,14 @@
 // exec::QueryService across shard counts (DESIGN.md §8): shard-affine
 // worker groups over a shard::ShardedStorage, affinity-routed Submit,
 // per-shard service statistics (one-shot queries and session batches
-// alike), and the determinism contract — result hashes are byte-identical
+// alike), an over-asking session draining a whole component, and the
+// determinism contract — result hashes are byte-identical
 // to a single-worker K = 1 service for every K in {1, 2, 4}, every worker
 // count, and every intra-query parallelism level. Runs under TSan in CI
 // (label: stress).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <future>
 #include <optional>
 #include <string>
@@ -306,6 +308,46 @@ TEST_F(ShardedServiceTest, DrainAndShutdownAcrossGroups) {
   // Submitting after shutdown resolves immediately with an error.
   auto rejected = service->Submit(requests[0]);
   EXPECT_FALSE(rejected.get().status.ok());
+}
+
+// The session contract lets a client over-ask (the wire accepts n up to
+// INT32_MAX): one such batch streams every reachable facility in rank
+// order, reports the stream exhausted, and later batches are empty.
+TEST_F(ShardedServiceTest, OverAskingSessionDrainsTheComponent) {
+  const gen::ExperimentConfig config = gen::ExperimentConfig().Scaled(0.02);
+  auto instance = gen::BuildShardedInstance(config, 4).value();
+  ServiceOptions opts;
+  opts.num_workers = 4;
+  opts.pool_frames_per_worker = instance->pool_frames;
+  auto service =
+      QueryService::Create(&instance->storage, instance->files, opts)
+          .value();
+  Random rng(test::DeriveSeed(seed_, 6));
+  const graph::Location loc = instance->RandomQueryLocation(rng);
+  const std::vector<double> weights =
+      test::TestWeights(config.num_costs, test::DeriveSeed(seed_, 7));
+  const std::vector<algo::TopKEntry> oracle =
+      test::OracleTopK(instance->graph, instance->facilities, loc,
+                       algo::WeightedSum(weights), INT32_MAX);
+  ASSERT_FALSE(oracle.empty());
+
+  const SessionId id =
+      service->OpenSession(api::IncrementalSpec(loc, 4, weights)).value();
+  QueryResult all = service->SessionNext(id, INT32_MAX).get();
+  ASSERT_TRUE(all.status.ok()) << all.status.ToString();
+  EXPECT_TRUE(all.exhausted);
+  ASSERT_EQ(all.topk.size(), oracle.size());
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_EQ(all.topk[i].facility, oracle[i].facility) << "rank " << i;
+    EXPECT_NEAR(all.topk[i].score, oracle[i].score, 1e-9) << "rank " << i;
+  }
+
+  QueryResult after = service->SessionNext(id, INT32_MAX).get();
+  EXPECT_TRUE(after.status.ok()) << after.status.ToString();
+  EXPECT_TRUE(after.topk.empty());
+  EXPECT_TRUE(after.exhausted);
+  ASSERT_TRUE(service->CloseSession(id).ok());
+  service->Shutdown();
 }
 
 }  // namespace
