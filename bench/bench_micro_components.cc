@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the substrate components: buffer
-// pool, B+-tree, slotted pages, Dijkstra/expansion, classic skyline and
-// top-k operators, and MCPP — plus before/after pairs for the flattened
+// pool, B+-tree, slotted pages, Dijkstra/expansion, the sort-filter
+// skyline operator, and MCPP — plus before/after pairs for the flattened
 // hot-path structures (d-ary heap vs std::priority_queue, dense candidate
 // store vs unordered_map, flat fetch-cache maps vs unordered_map).
 #include <benchmark/benchmark.h>
@@ -22,7 +22,6 @@
 #include "mcn/skyline/skyline.h"
 #include "mcn/storage/buffer_pool.h"
 #include "mcn/storage/slotted_page.h"
-#include "mcn/topk/topk.h"
 
 namespace mcn {
 namespace {
@@ -111,33 +110,10 @@ void BM_ClassicSkyline(benchmark::State& state) {
                                4, 1.0)});
   }
   for (auto _ : state) {
-    if (state.range(1) == 0) {
-      benchmark::DoNotOptimize(skyline::BlockNestedLoopSkyline(data));
-    } else {
-      benchmark::DoNotOptimize(skyline::SortFilterSkyline(data));
-    }
+    benchmark::DoNotOptimize(skyline::SortFilterSkyline(data));
   }
 }
-BENCHMARK(BM_ClassicSkyline)
-    ->Args({2000, 0})
-    ->Args({2000, 1})
-    ->Args({10000, 1});
-
-void BM_ThresholdAlgorithm(benchmark::State& state) {
-  Random rng(5);
-  std::vector<skyline::Tuple> data;
-  for (int i = 0; i < state.range(0); ++i) {
-    data.push_back(skyline::Tuple{
-        uint32_t(i),
-        gen::GenerateEdgeCosts(rng, gen::CostDistribution::kIndependent, 4,
-                               1.0)});
-  }
-  algo::AggregateFn f = algo::WeightedSum({0.4, 0.3, 0.2, 0.1});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topk::ThresholdAlgorithm(data, f, 10));
-  }
-}
-BENCHMARK(BM_ThresholdAlgorithm)->Arg(10000);
+BENCHMARK(BM_ClassicSkyline)->Arg(2000)->Arg(10000);
 
 void BM_McppLabelSetting(benchmark::State& state) {
   // Pareto path sets grow quickly with graph size and d; keep the instance

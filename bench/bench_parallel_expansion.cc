@@ -50,9 +50,7 @@ struct PointRun {
 
 PointRun RunPoint(gen::ShardedInstance& instance, int parallelism,
                   double stall_us, const BenchEnv& env,
-                  const std::vector<graph::Location>& locations,
-                  expand::ParallelProbeScheduler::Mode mode =
-                      expand::ParallelProbeScheduler::Mode::kTurnBarrier) {
+                  const std::vector<graph::Location>& locations) {
   auto executor = exec::ExpansionExecutor::Create(
       &instance.storage, instance.files, parallelism, instance.pool_frames);
   MCN_CHECK(executor.ok());
@@ -62,7 +60,7 @@ PointRun RunPoint(gen::ShardedInstance& instance, int parallelism,
   std::vector<double> latencies_ms;
   for (const graph::Location& q : locations) {
     (*executor)->ResetIoState();
-    auto rig = (*executor)->NewQuery(q, mode);
+    auto rig = (*executor)->NewQuery(q);
     MCN_CHECK(rig.ok());
     rig->engine->striped_fetch()->set_simulated_stall_us(stall_us);
 
@@ -189,32 +187,6 @@ int Main() {
               : 0);
       if (d == 4 && parallelism == 1) latency_d4_p1 = run.metrics.cpu_seconds;
       if (d == 4 && parallelism == 4) latency_d4_p4 = run.metrics.cpu_seconds;
-    }
-    // Ablation: the relaxed frontier-ordered delivery mode — a different
-    // (still deterministic) schedule, so it carries its own inline anchor
-    // for the parity check instead of comparing against the turn-barrier
-    // rows.
-    {
-      const auto relaxed =
-          expand::ParallelProbeScheduler::Mode::kFrontierOrdered;
-      PointRun anchor_relaxed =
-          RunPoint(**instance, 1, stall_us, env, locations, relaxed);
-      PointRun run =
-          RunPoint(**instance, 4, stall_us, env, locations, relaxed);
-      CheckParity(d, 4, anchor_relaxed, run);
-      AlgoComparison c;
-      c.lsa = anchor_relaxed.metrics;
-      c.cea = run.metrics;
-      PrintRow("p=4 relaxed", c);
-      std::printf(
-          "    per-query wall: avg %7.2f ms  p50/p95/p99 "
-          "%7.2f/%7.2f/%7.2f ms  speedup vs inline %5.2fx "
-          "(frontier-ordered delivery)\n",
-          run.metrics.AvgCpu() * 1e3, run.metrics.latency_p50_ms,
-          run.metrics.latency_p95_ms, run.metrics.latency_p99_ms,
-          run.metrics.cpu_seconds > 0
-              ? anchor_relaxed.metrics.cpu_seconds / run.metrics.cpu_seconds
-              : 0);
     }
     PrintFooter();
   }

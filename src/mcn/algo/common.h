@@ -25,28 +25,27 @@ namespace mcn::algo {
 using AggregateFn = std::function<double(const graph::CostVector&)>;
 
 /// Intra-query execution knobs shared by the three query processors
-/// (DESIGN.md §7). Defaults select the classic per-probe serial schedule.
+/// (DESIGN.md §7). Every schedule runs as ParallelProbeScheduler turns;
+/// the defaults select the paper's per-probe schedule.
 struct QueryOptions {
-  /// Requested d-expansion parallelism. 0 = classic serial probing (the
-  /// scheduler is ignored); >= 1 = the deterministic turn-barrier schedule
-  /// driven through `scheduler` — 1 executes turns inline on the caller
-  /// thread, > 1 concurrently on the scheduler's probe pool. Every value
-  /// >= 1 yields byte-identical results and logical I/O counts; the thread
-  /// count only changes how much physical I/O overlaps.
+  /// Requested d-expansion parallelism. 0 = width-1 turns: one expansion
+  /// advances per turn, exactly the paper's round-robin probing. >= 1 =
+  /// wide round-robin turns that advance every active expansion at once —
+  /// 1 executes them inline on the caller thread, > 1 concurrently on the
+  /// scheduler's probe pool. Every value >= 1 yields byte-identical results
+  /// and logical I/O counts; the thread count only changes how much
+  /// physical I/O overlaps. The ablation frontier policies take width-1
+  /// turns at every value.
   int parallelism = 0;
-  /// Required when parallelism >= 1; must be bound to the same engine the
-  /// query runs on (wired by exec::ExpansionExecutor or the caller).
+  /// The scheduler the turns run through, bound to the same engine the
+  /// query runs on (wired by exec::ExpansionExecutor or the caller). Null
+  /// = the query builds an inline one of its own.
   expand::ParallelProbeScheduler* scheduler = nullptr;
-  /// Settled elements per expansion per round-robin turn: amortizes the
-  /// turn barrier over several (near-equal-I/O) probe steps. Part of the
-  /// schedule — changing it changes the deterministic event order, so
-  /// parity comparisons must hold it fixed. Ignored by the width-1
-  /// ablation policies and the drain stage.
-  int turn_stride = 8;
   /// Optional landmark lower-bound index (DESIGN.md §12). Must be validated
   /// and outlive the query; non-null arms the skyline prune oracle on
-  /// serial round-robin runs (other schedules ignore it). Pruning is exact:
-  /// results and report order are byte-identical with or without it.
+  /// round-robin runs at parallelism 0 (other schedules ignore it). Pruning
+  /// is exact: results and report order are byte-identical with or without
+  /// it.
   net::LandmarkIndexReader* landmark_index = nullptr;
 };
 

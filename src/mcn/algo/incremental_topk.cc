@@ -4,9 +4,7 @@
 #include <cmath>
 #include <string>
 
-#include "mcn/algo/turn_dispatch.h"
 #include "mcn/common/macros.h"
-#include "mcn/expand/probe_scheduler.h"
 
 namespace mcn::algo {
 
@@ -14,49 +12,9 @@ IncrementalTopK::IncrementalTopK(expand::NnEngine* engine, AggregateFn f,
                                  ProbePolicy policy, QueryOptions exec)
     : engine_(engine),
       f_(std::move(f)),
-      policy_(policy),
-      exec_(exec),
-      turn_mode_(exec.parallelism >= 1),
       d_(engine->num_costs()),
-      store_(engine->num_facilities(), d_, expand::kInfCost),
-      active_(d_, true) {
-  MCN_CHECK(engine != nullptr);
-  if (turn_mode_) {
-    MCN_CHECK(exec_.scheduler != nullptr);
-    MCN_CHECK(exec_.scheduler->engine() == engine);
-  }
-}
-
-int IncrementalTopK::PickExpansion() const {
-  switch (policy_) {
-    case ProbePolicy::kRoundRobin: {
-      for (int step = 0; step < d_; ++step) {
-        int i = (turn_ + step) % d_;
-        if (active_[i]) return i;
-      }
-      return -1;
-    }
-    case ProbePolicy::kSmallestFrontier:
-    case ProbePolicy::kLargestFrontier: {
-      int best = -1;
-      double best_key = 0.0;
-      for (int i = 0; i < d_; ++i) {
-        if (!active_[i]) continue;
-        double key = engine_->Frontier(i);
-        bool better = best < 0 ||
-                      (policy_ == ProbePolicy::kSmallestFrontier
-                           ? key < best_key
-                           : key > best_key);
-        if (better) {
-          best = i;
-          best_key = key;
-        }
-      }
-      return best;
-    }
-  }
-  return -1;
-}
+      turns_(engine, policy, exec),
+      store_(engine->num_facilities(), d_, expand::kInfCost) {}
 
 TopKEntry IncrementalTopK::MakeEntry(graph::FacilityId f,
                                      double score) const {
@@ -102,34 +60,6 @@ double IncrementalTopK::MinCandidateLowerBound() const {
   return min_lb;
 }
 
-Status IncrementalTopK::AdvanceTurn() {
-  if (policy_ != ProbePolicy::kRoundRobin) {
-    // Ablation frontier policies: width-1 turns (the serial schedule).
-    int i = PickExpansion();
-    MCN_DCHECK(i >= 0);  // caller checks for total exhaustion
-    return DispatchWidthOneNextNN(
-        *exec_.scheduler, i, active_,
-        [&](int e, graph::FacilityId f, double cost) {
-          return HandlePop(e, f, cost);
-        });
-  }
-  // Round-robin: step-granular turns (see SkylineQuery::AdvanceTurn for
-  // the balance rationale).
-  std::vector<int>& targets = turn_targets_;
-  targets.clear();
-  for (int i = 0; i < d_; ++i) {
-    if (active_[i]) targets.push_back(i);
-  }
-  MCN_DCHECK(!targets.empty());  // caller checks for total exhaustion
-  MCN_ASSIGN_OR_RETURN(auto outcomes, exec_.scheduler->StepTurn(
-                                          targets, exec_.turn_stride));
-  return DispatchStepOutcomes(
-      outcomes, active_, /*any_active=*/nullptr,
-      [&](int i, graph::FacilityId f, double cost) {
-        return HandlePop(i, f, cost);
-      });
-}
-
 Status IncrementalTopK::CheckNotFailed() const {
   if (failure_.ok()) return Status::OK();
   return Status::FailedPrecondition(
@@ -158,36 +88,23 @@ Result<std::optional<TopKEntry>> IncrementalTopK::Pull() {
             MakeEntry(head.facility, head.score));
       }
     }
-    if (turn_mode_) {
-      bool any_active = false;
-      for (int i = 0; i < d_; ++i) any_active |= active_[i];
-      if (any_active) {
-        MCN_RETURN_IF_ERROR(AdvanceTurn());
-        continue;
-      }
-      // Fall through to the total-exhaustion report below (i < 0).
+    bool advanced = false;
+    MCN_RETURN_IF_ERROR(turns_.Probe(
+        &advanced, [&](int i, graph::FacilityId f, double cost) {
+          return HandlePop(i, f, cost);
+        }));
+    if (advanced) continue;
+    // Total exhaustion: all frontiers are +inf, every remaining pinned
+    // facility is safe in heap order; candidates with missing costs
+    // cannot exist (see TopKQuery::RunGrowing reasoning).
+    if (pinned_.empty()) {
+      exhausted_ = true;
+      return std::optional<TopKEntry>(std::nullopt);
     }
-    int i = turn_mode_ ? -1 : PickExpansion();
-    if (i < 0) {
-      // Total exhaustion: all frontiers are +inf, every remaining pinned
-      // facility is safe in heap order; candidates with missing costs
-      // cannot exist (see TopKQuery::RunGrowing reasoning).
-      if (pinned_.empty()) {
-        exhausted_ = true;
-        return std::optional<TopKEntry>(std::nullopt);
-      }
-      HeapEntry head = pinned_.top();
-      pinned_.pop();
-      ++stats_.reported;
-      return std::optional<TopKEntry>(MakeEntry(head.facility, head.score));
-    }
-    turn_ = (i + 1) % d_;
-    MCN_ASSIGN_OR_RETURN(auto nn, engine_->NextNN(i));
-    if (!nn.has_value()) {
-      active_[i] = false;
-      continue;
-    }
-    MCN_RETURN_IF_ERROR(HandlePop(i, nn->facility, nn->cost));
+    HeapEntry head = pinned_.top();
+    pinned_.pop();
+    ++stats_.reported;
+    return std::optional<TopKEntry>(MakeEntry(head.facility, head.score));
   }
 }
 

@@ -22,9 +22,9 @@
 //    >= the heap minimum at every earlier moment — in particular >= every
 //    Frontier(j) an earlier check read — provided the pop is handled
 //    before any check reads a frontier past it. Every schedule does so:
-//    the classic path handles each NextNN before the next check, and a
-//    turn (round-robin StepTurn or an ablation width-1 NextNNTurn) has all
-//    of its events dispatched before NextBest loops back to the check.
+//    a turn, width-1 (one NextNN) or wide (every active expansion's
+//    steps), has all of its events dispatched before NextBest loops back
+//    to the check.
 //  * A known cost never changes.
 // f is increasingly monotone, so f(v_c) never decreases while c stays a
 // candidate, and a bound cached at any earlier check is still a lower
@@ -57,6 +57,7 @@
 
 #include "mcn/algo/candidate_store.h"
 #include "mcn/algo/common.h"
+#include "mcn/algo/turn_dispatch.h"
 #include "mcn/common/result.h"
 #include "mcn/expand/engines.h"
 
@@ -74,11 +75,11 @@ class IncrementalTopK {
     uint64_t safety_checks = 0;
   };
 
-  /// `f` must be increasingly monotone. `exec` enables the turn-barrier
-  /// parallel schedule (DESIGN.md §7): with round-robin probing every
-  /// active expansion advances once between report-safety checks; the
-  /// ablation frontier policies degenerate to width-1 turns (exact serial
-  /// replay).
+  /// `f` must be increasingly monotone. `exec` picks the probe schedule
+  /// (DESIGN.md §7): at parallelism 0 one expansion advances to its next
+  /// NN between report-safety checks (the paper's schedule); round-robin at
+  /// parallelism >= 1 advances every active expansion per turn. The
+  /// ablation frontier policies always take width-1 turns.
   IncrementalTopK(expand::NnEngine* engine, AggregateFn f,
                   ProbePolicy policy = ProbePolicy::kRoundRobin,
                   QueryOptions exec = {});
@@ -132,9 +133,6 @@ class IncrementalTopK {
   Result<std::optional<TopKEntry>> Pull();
   /// FailedPrecondition naming the latched failure, or OK.
   Status CheckNotFailed() const;
-  int PickExpansion() const;
-  /// Turn-mode probe phase of one NextBest iteration (DESIGN.md §7).
-  Status AdvanceTurn();
   Status HandlePop(int i, graph::FacilityId f, double cost);
   /// Frontier-based lower bound of candidate slot `s`: f over its known
   /// costs and the current frontiers of its unknown ones.
@@ -150,12 +148,9 @@ class IncrementalTopK {
 
   expand::NnEngine* engine_;
   AggregateFn f_;
-  ProbePolicy policy_;
-  QueryOptions exec_;
-  bool turn_mode_;
   int d_;
+  TurnDispatcher turns_;
   CandidateStore store_;
-  std::vector<bool> active_;
   // Pinned but not yet reported, min-heap by score.
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
       pinned_;
@@ -163,8 +158,6 @@ class IncrementalTopK {
   // dropped when they surface.
   std::priority_queue<BoundEntry, std::vector<BoundEntry>, std::greater<>>
       bounds_;
-  std::vector<int> turn_targets_;  ///< turn-mode scratch (no per-turn alloc)
-  int turn_ = 0;
   bool exhausted_ = false;
   Status failure_;  ///< first failed pull, latched (OK = none)
   Stats stats_;

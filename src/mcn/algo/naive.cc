@@ -6,7 +6,6 @@
 #include "mcn/common/macros.h"
 #include "mcn/expand/engines.h"
 #include "mcn/skyline/skyline.h"
-#include "mcn/topk/topk.h"
 
 namespace mcn::algo {
 

@@ -4,9 +4,7 @@
 #include <utility>
 
 #include "mcn/algo/prune_oracle.h"
-#include "mcn/algo/turn_dispatch.h"
 #include "mcn/common/macros.h"
-#include "mcn/expand/probe_scheduler.h"
 #include "mcn/obs/trace.h"
 
 namespace mcn::algo {
@@ -14,19 +12,12 @@ namespace mcn::algo {
 SkylineQuery::SkylineQuery(expand::NnEngine* engine, SkylineOptions options)
     : engine_(engine),
       opts_(options),
-      turn_mode_(options.exec.parallelism >= 1),
       d_(engine->num_costs()),
+      turns_(engine, options.probe_policy, options.exec),
       store_(engine->num_facilities(), d_, expand::kInfCost),
       missing_per_cost_(d_, 0),
       sky_missing_per_cost_(d_, 0),
-      active_(d_, true),
-      first_nn_taken_(d_, false) {
-  MCN_CHECK(engine != nullptr);
-  if (turn_mode_) {
-    MCN_CHECK(opts_.exec.scheduler != nullptr);
-    MCN_CHECK(opts_.exec.scheduler->engine() == engine);
-  }
-}
+      first_nn_taken_(d_, false) {}
 
 SkylineQuery::~SkylineQuery() = default;
 
@@ -62,80 +53,43 @@ Result<std::vector<SkylineEntry>> SkylineQuery::ComputeAll() {
   return entries;
 }
 
-int SkylineQuery::PickExpansion() const {
-  switch (opts_.probe_policy) {
-    case ProbePolicy::kRoundRobin: {
-      for (int step = 0; step < d_; ++step) {
-        int i = (turn_ + step) % d_;
-        if (active_[i]) return i;
-      }
-      return -1;
-    }
-    case ProbePolicy::kSmallestFrontier:
-    case ProbePolicy::kLargestFrontier: {
-      int best = -1;
-      double best_key = 0.0;
-      for (int i = 0; i < d_; ++i) {
-        if (!active_[i]) continue;
-        double key = engine_->Frontier(i);
-        bool better =
-            best < 0 ||
-            (opts_.probe_policy == ProbePolicy::kSmallestFrontier
-                 ? key < best_key
-                 : key > best_key);
-        if (better) {
-          best = i;
-          best_key = key;
-        }
-      }
-      return best;
-    }
-  }
-  return -1;
-}
-
 Status SkylineQuery::Advance() {
-  if (turn_mode_) return AdvanceTurn();
-  if (stage_ == Stage::kDrain) return DrainStep();
-  int i = PickExpansion();
-  if (i < 0) {
-    // Every expansion exhausted or stopped.
-    if (store_.num_candidates() > 0) return FinalizeRemaining();
-    done_ = true;
-    return Status::OK();
-  }
-  turn_ = (i + 1) % d_;
-  MCN_ASSIGN_OR_RETURN(auto nn, engine_->NextNN(i));
-  if (!nn.has_value()) {
-    active_[i] = false;
-    return Status::OK();
-  }
-  return HandlePop(i, nn->facility, nn->cost);
+  if (stage_ == Stage::kDrain) return DrainTurn();
+  // A pin inside a wide turn's dispatch switches stage_/drain_boundary_
+  // for the *next* turn; the remaining buffered pops of this turn are real
+  // settled facilities and go through the same handler.
+  bool advanced = false;
+  MCN_RETURN_IF_ERROR(
+      turns_.Probe(&advanced, [&](int i, graph::FacilityId f, double cost) {
+        return HandlePop(i, f, cost);
+      }));
+  if (advanced) return Status::OK();
+  // Every expansion exhausted or stopped.
+  if (store_.num_candidates() > 0) return FinalizeRemaining();
+  done_ = true;
+  return Status::OK();
 }
 
-Status SkylineQuery::DrainStep() {
+Status SkylineQuery::DrainTurn() {
   ++stats_.drain_rounds;
   obs::RecordInstant(obs::CurrentTraceContext(),
                      obs::EventType::kDominanceRound, stats_.drain_rounds);
-  for (int i = 0; i < d_; ++i) {
-    // Stopped expansions may still hold the boundary key: step them too
-    // (their stopped status resumes after the drain).
-    if (engine_->Exhausted(i)) continue;
-    if (engine_->Frontier(i) > drain_boundary_[i]) continue;
-    MCN_ASSIGN_OR_RETURN(expand::ExpansionEvent ev, engine_->Step(i));
-    switch (ev.type) {
-      case expand::ExpansionEvent::Type::kExhausted:
-        active_[i] = false;
-        return Status::OK();
-      case expand::ExpansionEvent::Type::kNode:
-        return Status::OK();
-      case expand::ExpansionEvent::Type::kFacility:
-        return HandlePop(i, ev.id, ev.cost);
-    }
-  }
+  // Stopped expansions may still hold the boundary key: step them too
+  // (their stopped status resumes after the drain).
+  bool stepped = false;
+  MCN_RETURN_IF_ERROR(turns_.Drain(
+      &stepped,
+      [&](int i) {
+        return !engine_->Exhausted(i) &&
+               !(engine_->Frontier(i) > drain_boundary_[i]);
+      },
+      [&](int i, graph::FacilityId f, double cost) {
+        return HandlePop(i, f, cost);
+      }));
   // All frontiers are strictly past the boundary: nothing at the boundary
   // is still unseen.
-  return FinishDrain();
+  if (!stepped) return FinishDrain();
+  return Status::OK();
 }
 
 Status SkylineQuery::FinishDrain() {
@@ -151,76 +105,6 @@ Status SkylineQuery::FinishDrain() {
   MaybeStopExpansions();
   if (store_.num_candidates() == 0) done_ = true;
   return Status::OK();
-}
-
-Status SkylineQuery::AdvanceTurn() {
-  if (stage_ == Stage::kDrain) return DrainTurn();
-  if (opts_.probe_policy != ProbePolicy::kRoundRobin) {
-    // Ablation frontier policies: width-1 turns — the serial schedule,
-    // probe by probe, merely routed through the scheduler.
-    int i = PickExpansion();
-    if (i < 0) {
-      if (store_.num_candidates() > 0) return FinalizeRemaining();
-      done_ = true;
-      return Status::OK();
-    }
-    return DispatchWidthOneNextNN(
-        *opts_.exec.scheduler, i, active_,
-        [&](int e, graph::FacilityId f, double cost) {
-          return HandlePop(e, f, cost);
-        });
-  }
-  // Round-robin: step-granular turns — every active expansion settles one
-  // element between barriers. One settled node is ~one adjacency fetch,
-  // so the d probes of a turn carry near-equal I/O and overlap cleanly
-  // (a NextNN-sized probe would serialize a whole multi-fetch node churn
-  // behind the barrier).
-  std::vector<int>& targets = turn_targets_;
-  targets.clear();
-  for (int i = 0; i < d_; ++i) {
-    if (active_[i]) targets.push_back(i);
-  }
-  if (targets.empty()) {
-    if (store_.num_candidates() > 0) return FinalizeRemaining();
-    done_ = true;
-    return Status::OK();
-  }
-  MCN_ASSIGN_OR_RETURN(
-      auto outcomes,
-      opts_.exec.scheduler->StepTurn(targets, opts_.exec.turn_stride));
-  // A pin inside the dispatch switches stage_/drain_boundary_ for the
-  // *next* turn; the remaining buffered pops of this turn are real
-  // settled facilities and go through the same handler.
-  return DispatchStepOutcomes(
-      outcomes, active_, /*any_active=*/nullptr,
-      [&](int i, graph::FacilityId f, double cost) {
-        return HandlePop(i, f, cost);
-      });
-}
-
-Status SkylineQuery::DrainTurn() {
-  ++stats_.drain_rounds;
-  obs::RecordInstant(obs::CurrentTraceContext(),
-                     obs::EventType::kDominanceRound, stats_.drain_rounds);
-  const bool batched = opts_.probe_policy == ProbePolicy::kRoundRobin;
-  std::vector<int>& targets = turn_targets_;
-  targets.clear();
-  for (int i = 0; i < d_; ++i) {
-    // Stopped expansions may still hold the boundary key: step them too.
-    if (engine_->Exhausted(i)) continue;
-    if (engine_->Frontier(i) > drain_boundary_[i]) continue;
-    targets.push_back(i);
-    if (!batched) break;  // serial drain steps the first eligible only
-  }
-  if (targets.empty()) return FinishDrain();
-  // Stride 1: drain eligibility is re-checked per settled element.
-  MCN_ASSIGN_OR_RETURN(auto outcomes,
-                       opts_.exec.scheduler->StepTurn(targets, 1));
-  return DispatchStepOutcomes(
-      outcomes, active_, /*any_active=*/nullptr,
-      [&](int i, graph::FacilityId f, double cost) {
-        return HandlePop(i, f, cost);
-      });
 }
 
 Status SkylineQuery::HandlePop(int i, graph::FacilityId f, double cost) {
@@ -449,13 +333,14 @@ Status SkylineQuery::Pin(uint32_t s) {
 }
 
 Status SkylineQuery::BuildFilter() {
-  // Landmark pruning (DESIGN.md §12) is confined to the serial round-robin
-  // schedule: the ablation frontier policies compare live frontier keys in
-  // PickExpansion, and turn mode strides through the scheduler — both
-  // observe which nodes expanded, so eliding expansions there would change
-  // the event order. Serial round-robin only observes facility pops.
+  // Landmark pruning (DESIGN.md §12) is confined to round-robin width-1
+  // turns (parallelism 0): the ablation frontier policies compare live
+  // frontier keys when picking, and wide turns stride through settled
+  // elements — both observe which nodes expanded, so eliding expansions
+  // there would change the event order. Round-robin NextNN turns only
+  // observe facility pops.
   const bool want_pruner = opts_.exec.landmark_index != nullptr &&
-                           !turn_mode_ &&
+                           opts_.exec.parallelism == 0 &&
                            opts_.probe_policy == ProbePolicy::kRoundRobin;
   std::vector<PruneOracle::ProtectedFacility> snapshot;
   // Candidates and non-pinned skyline members both stay visible to the
@@ -487,9 +372,9 @@ void SkylineQuery::MaybeStopExpansions() {
   if (!opts_.stop_finished_expansions) return;
   MCN_DCHECK(stage_ == Stage::kShrinking);
   for (int i = 0; i < d_; ++i) {
-    if (active_[i] && missing_per_cost_[i] == 0 &&
+    if (turns_.active(i) && missing_per_cost_[i] == 0 &&
         sky_missing_per_cost_[i] == 0) {
-      active_[i] = false;
+      turns_.Deactivate(i);
     }
   }
 }

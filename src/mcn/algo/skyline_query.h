@@ -35,6 +35,7 @@
 
 #include "mcn/algo/candidate_store.h"
 #include "mcn/algo/common.h"
+#include "mcn/algo/turn_dispatch.h"
 #include "mcn/common/result.h"
 #include "mcn/expand/engines.h"
 
@@ -51,11 +52,10 @@ struct SkylineOptions {
   bool stop_finished_expansions = true;
   /// Expansion multiplexing policy (round-robin per the paper).
   ProbePolicy probe_policy = ProbePolicy::kRoundRobin;
-  /// Intra-query parallelism (DESIGN.md §7). With a scheduler and
-  /// round-robin probing, turns advance every active expansion at once
-  /// (concurrently when the scheduler has a pool); the ablation frontier
-  /// policies degenerate to width-1 turns, which replay the serial
-  /// schedule exactly.
+  /// Probe schedule (DESIGN.md §7): parallelism 0 probes one expansion per
+  /// turn (the paper's schedule); round-robin at parallelism >= 1 advances
+  /// every active expansion per turn (concurrently when the scheduler has
+  /// a pool). The ablation frontier policies always take width-1 turns.
   QueryOptions exec;
 };
 
@@ -104,17 +104,12 @@ class SkylineQuery {
     return !st.in_result && !st.eliminated && !st.pending;
   }
 
-  /// One probing turn: advance one expansion to its next NN (serial), or
-  /// one scheduler turn over the policy's target set (turn mode).
+  /// One turn of the probe schedule (a drain turn during a drain).
   Status Advance();
-  /// One drain step; completes the transition back to shrinking when every
+  /// One drain turn; completes the transition back to shrinking when every
   /// frontier has moved past the drain boundary.
-  Status DrainStep();
-  /// Turn-mode counterparts (DESIGN.md §7): same per-event handling, but
-  /// a whole target set advances between barriers.
-  Status AdvanceTurn();
   Status DrainTurn();
-  /// Shared epilogue of a completed drain (serial and turn mode).
+  /// Epilogue of a completed drain.
   Status FinishDrain();
   Status HandlePop(int i, graph::FacilityId f, double cost);
   Status Pin(uint32_t s);
@@ -134,16 +129,14 @@ class SkylineQuery {
   void ResolvePendingPins();
   Status BuildFilter();
   void MaybeStopExpansions();
-  /// Picks the next expansion per the probing policy; -1 when none active.
-  int PickExpansion() const;
   /// Defensive: resolves remaining candidates after total exhaustion.
   Status FinalizeRemaining();
   SkylineEntry MakeEntry(graph::FacilityId f) const;
 
   expand::NnEngine* engine_;
   SkylineOptions opts_;
-  bool turn_mode_;
   int d_;
+  TurnDispatcher turns_;
   Stage stage_ = Stage::kGrowing;
   bool done_ = false;
   /// True once the first drain finished: from then on, newly popped
@@ -155,7 +148,6 @@ class SkylineQuery {
   // each cost: expansions stay alive for them while candidates remain, so
   // their dominance power is never lost (DESIGN.md §3).
   std::vector<int> sky_missing_per_cost_;
-  std::vector<bool> active_;
   std::vector<bool> first_nn_taken_;
   std::vector<uint32_t> pinned_skyline_;  ///< store slots
   graph::CostVector drain_boundary_;
@@ -163,11 +155,9 @@ class SkylineQuery {
   expand::FacilityFilter filter_;
   bool filter_installed_ = false;
   // Landmark prune oracle (DESIGN.md §12), created at BuildFilter when the
-  // run is serial round-robin and a validated index was supplied.
+  // run is round-robin at parallelism 0 and a validated index was supplied.
   std::unique_ptr<PruneOracle> pruner_;
-  std::vector<int> turn_targets_;  ///< turn-mode scratch (no per-turn alloc)
   std::deque<graph::FacilityId> output_;
-  int turn_ = 0;
   Stats stats_;
 };
 

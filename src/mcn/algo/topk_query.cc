@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "mcn/algo/turn_dispatch.h"
 #include "mcn/common/macros.h"
-#include "mcn/expand/probe_scheduler.h"
 
 namespace mcn::algo {
 
@@ -13,49 +11,11 @@ TopKQuery::TopKQuery(expand::NnEngine* engine, AggregateFn f,
     : engine_(engine),
       f_(std::move(f)),
       opts_(options),
-      turn_mode_(options.exec.parallelism >= 1),
       d_(engine->num_costs()),
+      turns_(engine, options.probe_policy, options.exec),
       store_(engine->num_facilities(), d_, expand::kInfCost),
-      missing_per_cost_(d_, 0),
-      active_(d_, true) {
-  MCN_CHECK(engine != nullptr);
+      missing_per_cost_(d_, 0) {
   MCN_CHECK(opts_.k >= 1);
-  if (turn_mode_) {
-    MCN_CHECK(opts_.exec.scheduler != nullptr);
-    MCN_CHECK(opts_.exec.scheduler->engine() == engine);
-  }
-}
-
-int TopKQuery::PickExpansion() const {
-  switch (opts_.probe_policy) {
-    case ProbePolicy::kRoundRobin: {
-      for (int step = 0; step < d_; ++step) {
-        int i = (turn_ + step) % d_;
-        if (active_[i]) return i;
-      }
-      return -1;
-    }
-    case ProbePolicy::kSmallestFrontier:
-    case ProbePolicy::kLargestFrontier: {
-      int best = -1;
-      double best_key = 0.0;
-      for (int i = 0; i < d_; ++i) {
-        if (!active_[i]) continue;
-        double key = engine_->Frontier(i);
-        bool better =
-            best < 0 ||
-            (opts_.probe_policy == ProbePolicy::kSmallestFrontier
-                 ? key < best_key
-                 : key > best_key);
-        if (better) {
-          best = i;
-          best_key = key;
-        }
-      }
-      return best;
-    }
-  }
-  return -1;
 }
 
 double TopKQuery::KthScore() const {
@@ -64,71 +24,26 @@ double TopKQuery::KthScore() const {
 }
 
 Result<std::vector<TopKEntry>> TopKQuery::Run() {
-  MCN_RETURN_IF_ERROR(turn_mode_ ? RunGrowingTurns() : RunGrowing());
+  MCN_RETURN_IF_ERROR(RunGrowing());
   if (stats_.reached_shrinking) {
-    MCN_RETURN_IF_ERROR(turn_mode_ ? RunShrinkingTurns() : RunShrinking());
+    MCN_RETURN_IF_ERROR(RunShrinking());
   }
   return ExtractResult();
 }
 
 Status TopKQuery::RunGrowing() {
   while (static_cast<int>(top_.size()) < opts_.k) {
-    int i = PickExpansion();
-    if (i < 0) {
+    bool advanced = false;
+    MCN_RETURN_IF_ERROR(turns_.Probe(
+        &advanced, [&](int i, graph::FacilityId f, double cost) {
+          return HandleGrowingPop(i, f, cost);
+        }));
+    if (!advanced) {
       // Total exhaustion: every encountered facility has been pinned, the
       // tentative top-k already holds the best of them.
       MCN_DCHECK(store_.num_candidates() == 0);
       return Status::OK();
     }
-    turn_ = (i + 1) % d_;
-    MCN_ASSIGN_OR_RETURN(auto nn, engine_->NextNN(i));
-    if (!nn.has_value()) {
-      active_[i] = false;
-      continue;
-    }
-    MCN_RETURN_IF_ERROR(HandleGrowingPop(i, nn->facility, nn->cost));
-  }
-  stats_.reached_shrinking = true;
-  return Status::OK();
-}
-
-Status TopKQuery::RunGrowingTurns() {
-  expand::ParallelProbeScheduler* sched = opts_.exec.scheduler;
-  const bool batched = opts_.probe_policy == ProbePolicy::kRoundRobin;
-  while (static_cast<int>(top_.size()) < opts_.k) {
-    if (!batched) {
-      // Ablation frontier policies: width-1 turns (exact serial replay).
-      int i = PickExpansion();
-      if (i < 0) {
-        MCN_DCHECK(store_.num_candidates() == 0);
-        return Status::OK();
-      }
-      MCN_RETURN_IF_ERROR(DispatchWidthOneNextNN(
-          *sched, i, active_,
-          [&](int e, graph::FacilityId f, double cost) {
-            return HandleGrowingPop(e, f, cost);
-          }));
-      continue;
-    }
-    // Round-robin: step-granular turns (see SkylineQuery::AdvanceTurn for
-    // the balance rationale).
-    std::vector<int>& targets = turn_targets_;
-    targets.clear();
-    for (int i = 0; i < d_; ++i) {
-      if (active_[i]) targets.push_back(i);
-    }
-    if (targets.empty()) {
-      // Total exhaustion (see RunGrowing).
-      MCN_DCHECK(store_.num_candidates() == 0);
-      return Status::OK();
-    }
-    MCN_ASSIGN_OR_RETURN(auto outcomes,
-                         sched->StepTurn(targets, opts_.exec.turn_stride));
-    MCN_RETURN_IF_ERROR(DispatchStepOutcomes(
-        outcomes, active_, /*any_active=*/nullptr,
-        [&](int i, graph::FacilityId f, double cost) {
-          return HandleGrowingPop(i, f, cost);
-        }));
   }
   stats_.reached_shrinking = true;
   return Status::OK();
@@ -136,11 +51,11 @@ Status TopKQuery::RunGrowingTurns() {
 
 Status TopKQuery::HandleGrowingPop(int i, graph::FacilityId f, double cost) {
   if (static_cast<int>(top_.size()) >= opts_.k) {
-    // Only reachable in turn mode: a full-width turn keeps delivering
-    // pops after the k-th pin. Give them exactly the serial
-    // shrinking-stage treatment — first-seen facilities are ignored for
-    // good, known candidates resolve strictly against the k-th score —
-    // so the two schedules agree even on score ties at the boundary.
+    // Only reachable on wide turns: a full-width turn keeps delivering
+    // pops after the k-th pin. Give them exactly the shrinking-stage
+    // treatment — first-seen facilities are ignored for good, known
+    // candidates resolve strictly against the k-th score — so wide and
+    // width-1 turns agree even on score ties at the boundary.
     return HandleShrinkingPop(i, f, cost);
   }
   ++stats_.nn_pops;
@@ -179,77 +94,19 @@ Status TopKQuery::RunShrinking() {
   }
   MaybeStopExpansions();
   while (store_.num_candidates() > 0) {
-    bool any_active = false;
     // One heap element per expansion per round (paper §V: "each expansion
     // is suspended after popping one node from its heap").
-    for (int i = 0; i < d_; ++i) {
-      if (!active_[i]) continue;
-      MCN_ASSIGN_OR_RETURN(expand::ExpansionEvent ev, engine_->Step(i));
-      switch (ev.type) {
-        case expand::ExpansionEvent::Type::kExhausted:
-          active_[i] = false;
-          break;
-        case expand::ExpansionEvent::Type::kNode:
-          any_active = true;
-          break;
-        case expand::ExpansionEvent::Type::kFacility:
-          any_active = true;
-          MCN_RETURN_IF_ERROR(HandleShrinkingPop(i, ev.id, ev.cost));
-          break;
-      }
-    }
+    bool any_settled = false;
+    MCN_RETURN_IF_ERROR(turns_.StepRound(
+        &any_settled, [&](int i, graph::FacilityId f, double cost) {
+          return HandleShrinkingPop(i, f, cost);
+        }));
     if (opts_.lower_bound_pruning) LowerBoundSweep();
     MaybeStopExpansions();
-    if (!any_active && store_.num_candidates() > 0) {
+    if (!any_settled && store_.num_candidates() > 0) {
       // Every expansion exhausted or stopped: remaining candidates can
       // never be pinned; their lower bounds are +infinity (unreachable
       // costs), so they cannot beat any pinned facility.
-      while (store_.num_candidates() > 0) {
-        Eliminate(store_.candidates().back());
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status TopKQuery::RunShrinkingTurns() {
-  expand::ParallelProbeScheduler* sched = opts_.exec.scheduler;
-  if (opts_.use_facility_filter) {
-    MCN_RETURN_IF_ERROR(BuildFilter());
-  }
-  MaybeStopExpansions();
-  const bool batched = opts_.probe_policy == ProbePolicy::kRoundRobin;
-  while (store_.num_candidates() > 0) {
-    bool any_active = false;
-    auto on_pop = [&](int i, graph::FacilityId f, double cost) {
-      return HandleShrinkingPop(i, f, cost);
-    };
-    std::vector<int>& targets = turn_targets_;
-    targets.clear();
-    for (int i = 0; i < d_; ++i) {
-      if (active_[i]) targets.push_back(i);
-    }
-    if (batched) {
-      if (!targets.empty()) {
-        // Stride 1: the paper's §V suspension rule is one heap element per
-        // expansion between lower-bound sweeps.
-        MCN_ASSIGN_OR_RETURN(auto outcomes, sched->StepTurn(targets, 1));
-        MCN_RETURN_IF_ERROR(
-            DispatchStepOutcomes(outcomes, active_, &any_active, on_pop));
-      }
-    } else {
-      // Ablation frontier policies: width-1 turns, processing between
-      // probes — the serial shrinking round, step by step.
-      for (int i : targets) {
-        MCN_ASSIGN_OR_RETURN(auto outcomes, sched->StepTurn({i}, 1));
-        MCN_RETURN_IF_ERROR(
-            DispatchStepOutcomes(outcomes, active_, &any_active, on_pop));
-      }
-    }
-    if (opts_.lower_bound_pruning) LowerBoundSweep();
-    MaybeStopExpansions();
-    if (!any_active && store_.num_candidates() > 0) {
-      // See RunShrinking: remaining candidates can never be pinned.
       while (store_.num_candidates() > 0) {
         Eliminate(store_.candidates().back());
       }
@@ -347,7 +204,7 @@ Status TopKQuery::BuildFilter() {
 void TopKQuery::MaybeStopExpansions() {
   if (!opts_.stop_finished_expansions) return;
   for (int i = 0; i < d_; ++i) {
-    if (active_[i] && missing_per_cost_[i] == 0) active_[i] = false;
+    if (turns_.active(i) && missing_per_cost_[i] == 0) turns_.Deactivate(i);
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include "mcn/algo/candidate_store.h"
 #include "mcn/algo/common.h"
+#include "mcn/algo/turn_dispatch.h"
 #include "mcn/common/result.h"
 #include "mcn/expand/engines.h"
 
@@ -28,9 +29,10 @@ struct TopKOptions {
   /// Frontier-based lower-bound elimination of candidates (paper §V).
   bool lower_bound_pruning = true;
   ProbePolicy probe_policy = ProbePolicy::kRoundRobin;
-  /// Intra-query parallelism (DESIGN.md §7): round-robin turns advance
-  /// every active expansion at once; the ablation frontier policies
-  /// degenerate to width-1 turns (exact serial replay).
+  /// Probe schedule (DESIGN.md §7): parallelism 0 takes width-1 turns (the
+  /// paper's schedule); round-robin at parallelism >= 1 advances every
+  /// active expansion per turn. The ablation frontier policies always take
+  /// width-1 turns.
   QueryOptions exec;
 };
 
@@ -72,9 +74,6 @@ class TopKQuery {
 
   Status RunGrowing();
   Status RunShrinking();
-  /// Turn-mode counterparts (DESIGN.md §7).
-  Status RunGrowingTurns();
-  Status RunShrinkingTurns();
   Status HandleGrowingPop(int i, graph::FacilityId f, double cost);
   Status HandleShrinkingPop(int i, graph::FacilityId f, double cost);
   /// Inserts a pinned facility into the tentative top-k (growing).
@@ -86,22 +85,18 @@ class TopKQuery {
   void LowerBoundSweep();
   Status BuildFilter();
   void MaybeStopExpansions();
-  int PickExpansion() const;
   std::vector<TopKEntry> ExtractResult();
 
   expand::NnEngine* engine_;
   AggregateFn f_;
   TopKOptions opts_;
-  bool turn_mode_;
   int d_;
+  TurnDispatcher turns_;
   CandidateStore store_;
   std::vector<int> missing_per_cost_;
-  std::vector<bool> active_;
   // Tentative result: max-heap on score; holds at most k entries.
   std::priority_queue<HeapEntry> top_;
   expand::FacilityFilter filter_;
-  std::vector<int> turn_targets_;  ///< turn-mode scratch (no per-turn alloc)
-  int turn_ = 0;
   Stats stats_;
 };
 

@@ -63,7 +63,8 @@ struct QuerySpec {
   /// Execution hint: engine flavor (result-invariant; I/O behavior only).
   expand::EngineKind engine = expand::EngineKind::kCea;
   /// Execution hint: intra-query d-expansion parallelism (DESIGN.md §7).
-  /// 0 = classic serial probing; >= 1 = the deterministic turn schedule.
+  /// 0 = width-1 turns (the paper's per-probe schedule); >= 1 = wide
+  /// round-robin turns over the CEA engine.
   int32_t parallelism = 0;
   /// Per-request deadline in milliseconds, measured from admission
   /// (DESIGN.md §10). 0 = no deadline. An expired query stops expanding at

@@ -57,7 +57,7 @@ ExpansionExecutor::~ExpansionExecutor() {
 }
 
 Result<ExpansionExecutor::QueryRig> ExpansionExecutor::NewQuery(
-    const graph::Location& q, expand::ParallelProbeScheduler::Mode mode) {
+    const graph::Location& q) {
   std::vector<const net::NetworkReader*> readers;
   readers.reserve(readers_.size());
   for (const auto& r : readers_) readers.push_back(r.get());
@@ -65,7 +65,7 @@ Result<ExpansionExecutor::QueryRig> ExpansionExecutor::NewQuery(
                        expand::StripedCeaEngine::Create(std::move(readers), q));
   QueryRig rig;
   rig.scheduler = std::make_unique<expand::ParallelProbeScheduler>(
-      engine.get(), probe_pool_.get(), engine->striped_fetch(), mode);
+      engine.get(), probe_pool_.get(), engine->striped_fetch());
   rig.engine = std::move(engine);
   return rig;
 }

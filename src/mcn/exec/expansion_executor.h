@@ -70,10 +70,7 @@ class ExpansionExecutor {
     std::unique_ptr<expand::StripedCeaEngine> engine;
     std::unique_ptr<expand::ParallelProbeScheduler> scheduler;
   };
-  Result<QueryRig> NewQuery(const graph::Location& q,
-                            expand::ParallelProbeScheduler::Mode mode =
-                                expand::ParallelProbeScheduler::Mode::
-                                    kTurnBarrier);
+  Result<QueryRig> NewQuery(const graph::Location& q);
 
   /// Clears every slot's buffer contents and statistics (cold cache).
   void ResetIoState();

@@ -46,12 +46,82 @@ Status ValidateOptions(const ServiceOptions& options) {
   return Status::OK();
 }
 
-/// Fills the per-query routed-fetch split from two reader-counter samples.
-void SetFetchDelta(const shard::ShardedNetworkReader::ShardIoStats& before,
-                   const shard::ShardedNetworkReader::ShardIoStats& after,
-                   QueryStats* stats) {
-  stats->local_fetches = after.local_fetches - before.local_fetches;
-  stats->remote_fetches = after.remote_fetches - before.remote_fetches;
+/// The reader counters a request's I/O stats are deltas of.
+struct IoCounters {
+  storage::BufferPool::Stats pool;
+  shard::ShardedNetworkReader::ShardIoStats fetches;
+};
+
+/// The one epilogue of every executed request, failed or not: execution
+/// time, buffer-pool deltas and the routed-fetch split since `before`. A
+/// request that fails while executing spent that time executing; without
+/// these, Execute would book it as queue wait (DESIGN.md §10).
+void FinishExecStats(const Stopwatch& watch, const IoCounters& before,
+                     const IoCounters& after, QueryStats* stats) {
+  stats->exec_seconds = watch.ElapsedSeconds();
+  stats->buffer_misses = after.pool.misses - before.pool.misses;
+  stats->buffer_accesses = after.pool.accesses() - before.pool.accesses();
+  stats->local_fetches =
+      after.fetches.local_fetches - before.fetches.local_fetches;
+  stats->remote_fetches =
+      after.fetches.remote_fetches - before.fetches.remote_fetches;
+}
+
+/// Runs `spec`'s query processor over `engine` and fills `result`'s rows
+/// (post-constraint) and prune counters.
+Status RunProcessor(const api::QuerySpec& spec, expand::NnEngine* engine,
+                    const algo::QueryOptions& exec, QueryResult* result) {
+  const auto& constraints = spec.preference.constraints;
+  switch (spec.kind) {
+    case QueryKind::kSkyline: {
+      algo::SkylineOptions sky_opts;
+      sky_opts.exec = exec;
+      algo::SkylineQuery query(engine, sky_opts);
+      auto rows = query.ComputeAll();
+      // The oracle's work counts whether or not the query finished.
+      result->stats.prune_checked = query.stats().prune_checked;
+      result->stats.prune_cut = query.stats().prune_cut;
+      MCN_RETURN_IF_ERROR(rows.status());
+      result->skyline = std::move(rows).value();
+      break;
+    }
+    case QueryKind::kTopK: {
+      algo::TopKOptions topk_opts;
+      topk_opts.k = spec.k;
+      topk_opts.exec = exec;
+      algo::TopKQuery query(engine,
+                            algo::WeightedSum(spec.preference.weights),
+                            topk_opts);
+      MCN_ASSIGN_OR_RETURN(result->topk, query.Run());
+      break;
+    }
+    case QueryKind::kIncrementalTopK: {
+      algo::IncrementalTopK query(engine,
+                                  algo::WeightedSum(spec.preference.weights),
+                                  algo::ProbePolicy::kRoundRobin, exec);
+      // First-k pull with streaming caps (same row-for-row semantics as a
+      // session over this spec; unconstrained it is the plain k-pull).
+      MCN_ASSIGN_OR_RETURN(
+          result->topk,
+          query.NextBatch(spec.k, [&constraints](const algo::TopKEntry& row) {
+            return algo::PassesCaps(constraints, row);
+          }));
+      result->exhausted = query.exhausted();
+      break;
+    }
+  }
+  // Post-dominance constraint filter (algo/constraints.h): an exact no-op
+  // for unconstrained specs — result hashes stay byte-identical. The
+  // incremental path filtered while pulling (above), so caps are already
+  // satisfied and re-applying is idempotent.
+  if (!constraints.Unconstrained()) {
+    if (spec.kind == QueryKind::kSkyline) {
+      algo::ApplyConstraints(constraints, &result->skyline);
+    } else {
+      algo::ApplyConstraints(constraints, &result->topk);
+    }
+  }
+  return Status::OK();
 }
 
 /// A future that is already resolved with a failed result.
@@ -583,11 +653,10 @@ void QueryService::Execute(Task&& task, Group& group, int local_worker) {
   result.stats.queue_seconds = SecondsSince(task.enqueue_time) -
                                result.stats.exec_seconds -
                                result.stats.stall_slept_seconds;
-  // Modeled I/O charge per the query's effective stall model (DESIGN.md
-  // §13): the serial per-miss sum, or the overlapped per-turn-max charge
-  // RunQuery computed for turn-mode queries.
-  const bool overlapped =
-      result.stats.stall_model == StallModel::kOverlapped;
+  // Modeled I/O charge per the service's stall model (DESIGN.md §13): the
+  // serial per-miss sum, or the overlapped per-turn-max charge RunQuery
+  // and RunSessionBatch computed.
+  const bool overlapped = opts_.stall_model == StallModel::kOverlapped;
   result.stats.stall_seconds =
       static_cast<double>(overlapped ? result.stats.overlapped_misses
                                      : result.stats.buffer_misses) *
@@ -721,15 +790,17 @@ QueryResult QueryService::RunSessionBatch(Session& session, int n,
   // One batch at a time per session; concurrent SessionNext calls on the
   // same id serialize here (each on some worker of the home group).
   MutexLock lock(&session.mu);
-  Stopwatch watch;
   if (session.reader == nullptr) {
     // First batch: build the session's private reader set (no I/O yet —
     // pools start empty) and pin it for the stream's lifetime.
     session.reader = MakeReader(groups_[session.group].shard);
   }
-  const storage::BufferPool::Stats before = session.reader->PoolStats();
-  const shard::ShardedNetworkReader::ShardIoStats fetches_before =
-      session.reader->shard_io_stats();
+  auto sample = [&] {
+    return IoCounters{session.reader->PoolStats(),
+                      session.reader->shard_io_stats()};
+  };
+  const IoCounters before = sample();
+  Stopwatch watch;
   if (session.engine == nullptr) {
     // Engine construction does I/O (expansion seeding), charged to this
     // first batch — the same accounting as a local run that builds its
@@ -740,41 +811,96 @@ QueryResult QueryService::RunSessionBatch(Session& session, int n,
     auto engine = expand::MakeEngine(session.spec.engine,
                                      session.reader.get(),
                                      session.spec.location);
-    if (!engine.ok()) {
+    if (engine.ok()) {
+      session.engine = std::move(engine).value();
+      session.query = std::make_unique<algo::IncrementalTopK>(
+          session.engine.get(),
+          algo::WeightedSum(session.spec.preference.weights));
+    } else {
       result.status = engine.status();
-      return result;
     }
-    session.engine = std::move(engine).value();
-    session.query = std::make_unique<algo::IncrementalTopK>(
-        session.engine.get(),
-        algo::WeightedSum(session.spec.preference.weights));
   }
-  // Pull until n rows pass the caps (streaming constraint semantics: a
-  // constrained batch still fills up, DESIGN.md §9) or the component is
-  // exhausted.
-  const auto& constraints = session.spec.preference.constraints;
-  // The token lives on this worker's stack; install it for the batch only
-  // — the engine outlives it across batches.
-  session.engine->SetCancelToken(cancel);
-  auto batch = session.query->NextBatch(
-      n, [&constraints](const algo::TopKEntry& row) {
-        return algo::PassesCaps(constraints, row);
-      });
-  session.engine->SetCancelToken(nullptr);
-  if (!batch.ok()) {
-    result.status = batch.status();
-    return result;
+  if (result.status.ok()) {
+    // Pull until n rows pass the caps (streaming constraint semantics: a
+    // constrained batch still fills up, DESIGN.md §9) or the component is
+    // exhausted.
+    const auto& constraints = session.spec.preference.constraints;
+    // The token lives on this worker's stack; install it for the batch
+    // only — the engine outlives it across batches.
+    session.engine->SetCancelToken(cancel);
+    auto batch = session.query->NextBatch(
+        n, [&constraints](const algo::TopKEntry& row) {
+          return algo::PassesCaps(constraints, row);
+        });
+    session.engine->SetCancelToken(nullptr);
+    if (batch.ok()) {
+      result.topk = std::move(batch).value();
+      result.exhausted = session.query->exhausted();
+    } else {
+      result.status = batch.status();
+    }
   }
-  result.topk = std::move(batch).value();
-  result.exhausted = session.query->exhausted();
-  result.stats.exec_seconds = watch.ElapsedSeconds();
-  const storage::BufferPool::Stats after = session.reader->PoolStats();
-  result.stats.buffer_misses = after.misses - before.misses;
-  result.stats.buffer_accesses = after.accesses() - before.accesses();
-  SetFetchDelta(fetches_before, session.reader->shard_io_stats(),
-                &result.stats);
-  result.result_hash = algo::HashResult(result.topk);
+  FinishExecStats(watch, before, sample(), &result.stats);
+  // A session's turns are width-1 (parallelism 0): a turn's largest miss
+  // delta is its only one, so the overlapped charge is the serial one.
+  result.stats.overlapped_misses = result.stats.buffer_misses;
+  if (result.status.ok()) result.result_hash = algo::HashResult(result.topk);
   return result;
+}
+
+void QueryService::ArmTurnIo(Worker& worker, bool pooled,
+                             expand::ParallelProbeScheduler* scheduler,
+                             std::vector<storage::BufferPool*>* recording) {
+  if (opts_.stall_model != StallModel::kOverlapped &&
+      !opts_.replay_batch_io) {
+    return;
+  }
+  expand::ParallelProbeScheduler::TurnIoOptions io;
+  if (pooled) {
+    ExpansionExecutor* rig = worker.expansion.get();
+    io.slot_misses = [rig](int reader_slot) {
+      return rig->readers()[static_cast<size_t>(reader_slot)]
+          ->PoolStats()
+          .misses;
+    };
+  } else {
+    const shard::ShardedNetworkReader* reader = worker.reader.get();
+    io.slot_misses = [reader](int) { return reader->PoolStats().misses; };
+  }
+  if (opts_.stall_model == StallModel::kOverlapped &&
+      opts_.simulate_io_stalls) {
+    io.sleep_latency_ms = opts_.io_latency_ms;
+  }
+  storage::DiskManager* disk = storage_->disk(0);
+  if (opts_.replay_batch_io && storage_->num_shards() == 1 &&
+      disk->io_backend() != storage::IoBackendKind::kMemory) {
+    // Physical replay is single-disk (K = 1) + file-backed only: a
+    // K > 1 turn's misses span several disks, and a memory backend would
+    // make the replay a pure memcpy exercise. Pools log their missed
+    // PageIds; the barrier drains the logs into one ReadPagesBatch.
+    // Stale entries from a previous query are drained away before
+    // arming.
+    if (pooled) {
+      for (const auto& slot_reader : worker.expansion->readers()) {
+        recording->push_back(slot_reader->shard_pool(0));
+      }
+    } else {
+      recording->push_back(worker.reader->shard_pool(0));
+    }
+    for (storage::BufferPool* pool : *recording) {
+      pool->set_record_misses(true);
+      (void)pool->DrainMissedPages();
+    }
+    io.drain_missed = [pools = *recording](
+                          std::vector<storage::PageId>* out) {
+      for (storage::BufferPool* pool : pools) {
+        std::vector<storage::PageId> drained = pool->DrainMissedPages();
+        out->insert(out->end(), drained.begin(), drained.end());
+      }
+    };
+    io.batch_disk = disk;
+  }
+  scheduler->SetTurnIo(std::move(io));
 }
 
 QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
@@ -793,10 +919,10 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
     return result;
   }
 
-  // Intra-query parallelism: 0 = classic serial path; 1 = inline turn
-  // schedule over the worker's own reader; > 1 = pooled turns on the
+  // Intra-query parallelism: 0 = width-1 turns and 1 = wide turns, both
+  // inline over the worker's own reader; > 1 = pooled wide turns on the
   // worker's ExpansionExecutor (clamped to the service's configuration).
-  int par = std::min<int>(spec.parallelism, opts_.per_query_parallelism);
+  const int par = std::min<int>(spec.parallelism, opts_.per_query_parallelism);
   if (par > 1 && worker.expansion == nullptr) {
     // Built lazily on the first parallel request, so a service whose
     // clients never opt in pays no probe threads or extra pools. Safe
@@ -808,7 +934,6 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
     worker.expansion = std::move(executor).value();
     worker.expansion->SetHomeShard(worker.home_shard);
   }
-  const bool turn_mode = par >= 1;
   const bool pooled = par > 1;
 
   if (opts_.cold_cache_per_query) {
@@ -818,70 +943,52 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
     // query's prune I/O is deterministic regardless of what ran before.
     if (worker.landmark != nullptr) worker.landmark->ResetIoState();
   }
-  auto io_now = [&]() -> storage::BufferPool::Stats {
-    storage::BufferPool::Stats s = pooled ? worker.expansion->PoolStats()
-                                          : worker.reader->PoolStats();
+  auto sample = [&] {
+    IoCounters c{pooled ? worker.expansion->PoolStats()
+                        : worker.reader->PoolStats(),
+                 pooled ? worker.expansion->ShardIoStats()
+                        : worker.reader->shard_io_stats()};
     if (worker.landmark != nullptr) {
       // Honest I/O accounting: what the oracle spends on index pages is
       // part of the query's miss total, not hidden in a side pool.
       const storage::BufferPool::Stats li = worker.landmark->pool().stats();
-      s.hits += li.hits;
-      s.misses += li.misses;
-      s.evictions += li.evictions;
+      c.pool.hits += li.hits;
+      c.pool.misses += li.misses;
+      c.pool.evictions += li.evictions;
     }
-    return s;
+    return c;
   };
-  auto fetches_now = [&] {
-    return pooled ? worker.expansion->ShardIoStats()
-                  : worker.reader->shard_io_stats();
-  };
-  const storage::BufferPool::Stats before = io_now();
-  const shard::ShardedNetworkReader::ShardIoStats fetches_before =
-      fetches_now();
+  const IoCounters before = sample();
 
   Stopwatch watch;
-  std::unique_ptr<expand::NnEngine> engine_holder;
+  std::unique_ptr<expand::NnEngine> engine;
   std::unique_ptr<expand::ParallelProbeScheduler> scheduler;
   if (pooled) {
-    auto rig_or = worker.expansion->NewQuery(spec.location);
-    if (!rig_or.ok()) {
-      result.status = rig_or.status();
-      return result;
+    auto rig = worker.expansion->NewQuery(spec.location);
+    if (rig.ok()) {
+      engine = std::move(rig->engine);
+      scheduler = std::move(rig->scheduler);
+    } else {
+      result.status = rig.status();
     }
-    ExpansionExecutor::QueryRig rig = std::move(rig_or).value();
-    engine_holder = std::move(rig.engine);
-    scheduler = std::move(rig.scheduler);
-  } else if (turn_mode) {
-    // Inline turns need no thread-safe provider: the plain CEA engine
-    // over the worker's reader runs the identical schedule (record
-    // contents and pop order match the striped cache) without paying for
-    // 64 stripes + single-flight machinery per query.
-    auto engine_or = expand::CeaEngine::Create(worker.reader.get(),
-                                               spec.location);
-    if (!engine_or.ok()) {
-      result.status = engine_or.status();
-      return result;
-    }
-    scheduler = std::make_unique<expand::ParallelProbeScheduler>(
-        engine_or.value().get(), /*pool=*/nullptr, /*striped=*/nullptr);
-    engine_holder = std::move(engine_or).value();
   } else {
-    auto engine_or = expand::MakeEngine(spec.engine, worker.reader.get(),
-                                        spec.location);
-    if (!engine_or.ok()) {
-      result.status = engine_or.status();
-      return result;
+    // Wide turns run the CEA cache whatever the spec names, like pooled
+    // ones (the plain cache: inline turns need no thread-safe provider,
+    // and record contents and pop order match the striped one); width-1
+    // turns run the spec's engine.
+    auto made = expand::MakeEngine(
+        par >= 1 ? expand::EngineKind::kCea : spec.engine,
+        worker.reader.get(), spec.location);
+    if (made.ok()) {
+      engine = std::move(made).value();
+      scheduler = std::make_unique<expand::ParallelProbeScheduler>(
+          engine.get(), /*pool=*/nullptr, /*striped=*/nullptr);
+    } else {
+      result.status = made.status();
     }
-    engine_holder = std::move(engine_or).value();
   }
-  // Turn-level overlapped I/O (DESIGN.md §13): arm the scheduler to
-  // sample per-probe miss deltas — and optionally sleep the turn's max at
-  // the barrier and/or replay the turn's misses as one batched read.
-  //
-  // Miss recording is scoped to this query: the pools are persistent, and
-  // a later serial-path query (scheduler == nullptr) has no barrier to
-  // drain them, so leaving recording armed would grow the miss log
-  // without bound on serial-heavy workloads.
+  // Miss recording (replay_batch_io) is scoped to this query: the pools
+  // are persistent, and the log must not grow while no barrier drains it.
   struct MissRecordingGuard {
     std::vector<storage::BufferPool*> pools;
     ~MissRecordingGuard() {
@@ -891,146 +998,34 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
       }
     }
   } miss_recording;
-  if (scheduler != nullptr &&
-      (opts_.stall_model == StallModel::kOverlapped ||
-       opts_.replay_batch_io)) {
-    expand::ParallelProbeScheduler::TurnIoOptions io;
-    if (pooled) {
-      ExpansionExecutor* rig = worker.expansion.get();
-      io.slot_misses = [rig](int reader_slot) {
-        return rig->readers()[static_cast<size_t>(reader_slot)]
-            ->PoolStats()
-            .misses;
-      };
-    } else {
-      const shard::ShardedNetworkReader* reader = worker.reader.get();
-      io.slot_misses = [reader](int) { return reader->PoolStats().misses; };
-    }
-    if (opts_.stall_model == StallModel::kOverlapped &&
-        opts_.simulate_io_stalls) {
-      io.sleep_latency_ms = opts_.io_latency_ms;
-    }
-    storage::DiskManager* disk = storage_->disk(0);
-    if (opts_.replay_batch_io && storage_->num_shards() == 1 &&
-        disk->io_backend() != storage::IoBackendKind::kMemory) {
-      // Physical replay is single-disk (K = 1) + file-backed only: a
-      // K > 1 turn's misses span several disks, and a memory backend would
-      // make the replay a pure memcpy exercise. Pools log their missed
-      // PageIds; the barrier drains the logs into one ReadPagesBatch.
-      // Stale entries from a previous query are drained away before
-      // arming.
-      if (pooled) {
-        for (const auto& slot_reader : worker.expansion->readers()) {
-          miss_recording.pools.push_back(slot_reader->shard_pool(0));
-        }
-      } else {
-        miss_recording.pools.push_back(worker.reader->shard_pool(0));
-      }
-      for (storage::BufferPool* pool : miss_recording.pools) {
-        pool->set_record_misses(true);
-        (void)pool->DrainMissedPages();
-      }
-      io.drain_missed = [pools = miss_recording.pools](
-                            std::vector<storage::PageId>* out) {
-        for (storage::BufferPool* pool : pools) {
-          std::vector<storage::PageId> drained = pool->DrainMissedPages();
-          out->insert(out->end(), drained.begin(), drained.end());
-        }
-      };
-      io.batch_disk = disk;
-    }
-    scheduler->SetTurnIo(std::move(io));
+  if (result.status.ok()) {
+    ArmTurnIo(worker, pooled, scheduler.get(), &miss_recording.pools);
+    // Cooperative cancellation: the expansions check the token per settle,
+    // the scheduler at every turn. Engine and token die with this call,
+    // so no clearing is needed.
+    engine->SetCancelToken(cancel);
+    algo::QueryOptions exec;
+    exec.parallelism = par;
+    exec.scheduler = scheduler.get();
+    // The skyline processor arms the prune oracle only where it is exact
+    // (round-robin at parallelism 0); the others ignore the index.
+    exec.landmark_index = worker.landmark.get();
+    result.status = RunProcessor(spec, engine.get(), exec, &result);
   }
-  expand::NnEngine* engine = engine_holder.get();
-  // Cooperative cancellation: the expansions check the token per settle,
-  // the turn scheduler at every barrier. Engine and token die with this
-  // call, so no clearing is needed.
-  engine->SetCancelToken(cancel);
-  algo::QueryOptions exec;
-  exec.parallelism = par;
-  exec.scheduler = scheduler.get();
+  FinishExecStats(watch, before, sample(), &result.stats);
 
-  const auto& constraints = spec.preference.constraints;
-  switch (spec.kind) {
-    case QueryKind::kSkyline: {
-      algo::SkylineOptions sky_opts;
-      sky_opts.exec = exec;
-      // The query gates internally (serial round-robin only); passing the
-      // reader on turn-mode requests is a documented no-op.
-      sky_opts.exec.landmark_index = worker.landmark.get();
-      algo::SkylineQuery query(engine, sky_opts);
-      auto rows = query.ComputeAll();
-      if (!rows.ok()) {
-        result.status = rows.status();
-        return result;
-      }
-      result.skyline = std::move(rows).value();
-      result.stats.prune_checked = query.stats().prune_checked;
-      result.stats.prune_cut = query.stats().prune_cut;
-      break;
-    }
-    case QueryKind::kTopK: {
-      algo::TopKOptions topk_opts;
-      topk_opts.k = spec.k;
-      topk_opts.exec = exec;
-      algo::TopKQuery query(engine,
-                            algo::WeightedSum(spec.preference.weights),
-                            topk_opts);
-      auto rows = query.Run();
-      if (!rows.ok()) {
-        result.status = rows.status();
-        return result;
-      }
-      result.topk = std::move(rows).value();
-      break;
-    }
-    case QueryKind::kIncrementalTopK: {
-      algo::IncrementalTopK query(engine,
-                                  algo::WeightedSum(spec.preference.weights),
-                                  algo::ProbePolicy::kRoundRobin, exec);
-      // First-k pull with streaming caps (same row-for-row semantics as a
-      // session over this spec; unconstrained it is the classic k-pull).
-      auto batch = query.NextBatch(
-          spec.k, [&constraints](const algo::TopKEntry& row) {
-            return algo::PassesCaps(constraints, row);
-          });
-      if (!batch.ok()) {
-        result.status = batch.status();
-        return result;
-      }
-      result.topk = std::move(batch).value();
-      result.exhausted = query.exhausted();
-      break;
-    }
-  }
-  // Post-dominance constraint filter (algo/constraints.h): an exact no-op
-  // for unconstrained specs — result hashes stay byte-identical. The
-  // incremental path filtered while pulling (above), so caps are already
-  // satisfied and re-applying is idempotent.
-  if (!constraints.Unconstrained()) {
-    if (spec.kind == QueryKind::kSkyline) {
-      algo::ApplyConstraints(constraints, &result.skyline);
-    } else {
-      algo::ApplyConstraints(constraints, &result.topk);
-    }
-  }
-  result.stats.exec_seconds = watch.ElapsedSeconds();
-
-  const storage::BufferPool::Stats after = io_now();
-  result.stats.buffer_misses = after.misses - before.misses;
-  result.stats.buffer_accesses = after.accesses() - before.accesses();
-  SetFetchDelta(fetches_before, fetches_now(), &result.stats);
-
-  if (scheduler != nullptr && opts_.stall_model == StallModel::kOverlapped) {
+  if (opts_.stall_model == StallModel::kOverlapped) {
     // Overlapped charge = the scheduler's per-turn max sum, plus the
     // serial residue: misses outside any probe (engine seeding), which
-    // nothing overlapped.
-    const expand::ParallelProbeScheduler::Stats& turns = scheduler->stats();
+    // nothing overlapped. A width-1 turn's max delta is its only one, so
+    // a parallelism-0 query's charge equals its serial one.
+    const expand::ParallelProbeScheduler::Stats turns =
+        scheduler != nullptr ? scheduler->stats()
+                             : expand::ParallelProbeScheduler::Stats{};
     const uint64_t residue =
         result.stats.buffer_misses > turns.probe_misses
             ? result.stats.buffer_misses - turns.probe_misses
             : 0;
-    result.stats.stall_model = StallModel::kOverlapped;
     result.stats.overlapped_misses = turns.overlapped_misses + residue;
     result.stats.stall_slept_seconds = turns.slept_seconds;
     // The watch ran through the barrier sleeps; keep exec_seconds pure
@@ -1038,6 +1033,7 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
     result.stats.exec_seconds =
         std::max(0.0, result.stats.exec_seconds - turns.slept_seconds);
   }
+  if (!result.status.ok()) return result;
 
   // Hashed outside the measured window, like the bench harness; the hash
   // covers exactly the rows the client receives (post-constraint).

@@ -84,15 +84,15 @@ using QueryKind = api::QueryKind;
 
 /// How a query's modeled I/O stall is charged (DESIGN.md §13).
 ///
-/// kSerial is the classic model: every buffer miss costs one io_latency,
+/// kSerial is the paper's model: every buffer miss costs one io_latency,
 /// so stall = misses x latency — the schedule where each fetch waits for
 /// the previous one. kOverlapped models a turn's misses as issued
 /// together (one batched read per barrier): each turn costs only its
 /// *maximum* per-probe miss delta, so stall = sum over turns of
 /// max(probe miss deltas) x latency, plus the serial residue of misses
-/// outside any probe (engine seeding). The overlapped model applies to
-/// turn-mode requests (QuerySpec::parallelism >= 1); classic serial-path
-/// queries fall back to kSerial charging regardless of the option.
+/// outside any probe (engine seeding). Every request runs as turns; a
+/// width-1 turn's maximum delta is its only one, so a parallelism-0
+/// request (and a session batch) is charged the same under either model.
 enum class StallModel {
   kSerial = 0,
   kOverlapped,
@@ -109,16 +109,11 @@ struct QueryStats {
   int shard = -1;            ///< executing group's home shard
   double queue_seconds = 0;  ///< submit -> start of execution
   double exec_seconds = 0;   ///< engine construction + query computation
-  /// Modeled I/O time, charged under `stall_model`: misses x
-  /// io_latency_ms for StallModel::kSerial, overlapped_misses x
+  /// Modeled I/O time, charged under ServiceOptions::stall_model: misses
+  /// x io_latency_ms for StallModel::kSerial, overlapped_misses x
   /// io_latency_ms for StallModel::kOverlapped (per-turn max instead of
   /// per-miss sum — see the enum).
   double stall_seconds = 0;
-  /// The model that produced stall_seconds for *this* query: the
-  /// service's configured model, downgraded to kSerial on classic
-  /// serial-path requests (parallelism 0), where no turn structure exists
-  /// to overlap.
-  StallModel stall_model = StallModel::kSerial;
   /// Overlapped charge units (kOverlapped only): sum over turns of the
   /// max per-probe miss delta, plus misses outside any probe (engine
   /// seeding), which stay serial.
@@ -187,11 +182,11 @@ struct ServiceOptions {
   /// reflects overlapped I/O. Keep off for pure-CPU tests.
   bool simulate_io_stalls = false;
   /// Which stall model charges modeled I/O time (DESIGN.md §13). With
-  /// kOverlapped, turn-mode queries charge each turn's max per-probe miss
-  /// delta instead of the per-miss sum, and simulate_io_stalls sleeps
-  /// per turn at the barrier (the residual — seeding misses charged
-  /// serially — is slept after the query). kSerial keeps every query
-  /// byte-stable with the pre-§13 behavior.
+  /// kOverlapped, queries charge each turn's max per-probe miss delta
+  /// instead of the per-miss sum, and simulate_io_stalls sleeps per turn
+  /// at the barrier (the residual — seeding misses charged serially — is
+  /// slept after the query). kSerial keeps every query byte-stable with
+  /// the pre-§13 behavior.
   StallModel stall_model = StallModel::kSerial;
   /// Physically replay each turn's drained buffer misses as one
   /// DiskManager::ReadPagesBatch (kIoBatch trace span; mcn.io.batch_*
@@ -256,7 +251,8 @@ struct ServiceOptions {
   /// the served network carries a built index
   /// (ShardedNetworkFiles::landmark), every worker gets a validated
   /// LandmarkIndexReader (its own small pool, charged separately from the
-  /// network pools) and serial skyline queries run with the prune oracle.
+  /// network pools) and skyline queries at parallelism 0 run with the
+  /// prune oracle.
   /// Results are byte-identical either way — the index only elides
   /// adjacency probes whose subtrees cannot matter. The default keeps
   /// existing services byte-stable in stats as well as results.
@@ -495,6 +491,14 @@ class QueryService {
   /// Runs one session batch (creating the session's engine on first use).
   QueryResult RunSessionBatch(Session& session, int n,
                               const CancelToken* cancel);
+  /// Arms `scheduler`'s turn-level I/O (DESIGN.md §13) when the stall
+  /// model or batched replay asks for it: per-probe miss sampling on the
+  /// worker's reader slots, the per-turn modeled sleep, and the replay of
+  /// each turn's misses, whose recording pools are appended to
+  /// `recording` for the caller to disarm.
+  void ArmTurnIo(Worker& worker, bool pooled,
+                 expand::ParallelProbeScheduler* scheduler,
+                 std::vector<storage::BufferPool*>* recording);
 
   /// Drops idle sessions past the idle timeout (runs on every
   /// OpenSession).

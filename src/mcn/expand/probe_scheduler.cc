@@ -2,21 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <thread>
 
 #include "mcn/common/macros.h"
-#include "mcn/expand/striped_fetch.h"
 #include "mcn/storage/page.h"
 
 namespace mcn::expand {
 
 ParallelProbeScheduler::ParallelProbeScheduler(NnEngine* engine,
                                                ProbePool* pool,
-                                               StripedCachedFetch* striped,
-                                               Mode mode)
-    : engine_(engine), pool_(pool), striped_(striped), mode_(mode) {
+                                               StripedCachedFetch* striped)
+    : engine_(engine), pool_(pool), striped_(striped) {
   MCN_CHECK(engine_ != nullptr);
+  probes_.resize(static_cast<size_t>(engine_->num_costs()));
   if (pool_ != nullptr) {
     // Pooled probes run on worker threads; the provider must be the
     // thread-safe one, with a reader slot per worker plus the caller's.
@@ -31,42 +29,6 @@ void ParallelProbeScheduler::Run(ProbeTask&& task, int worker) {
 
 void ParallelProbeScheduler::Discard(ProbeTask&& task) {
   task.scheduler->AbortFromPool(task.slot);
-}
-
-void ParallelProbeScheduler::Execute(uint32_t slot, int reader_slot) {
-  Probe& probe = probes_[slot];
-  if (striped_ != nullptr) StripedCachedFetch::BindWorkerSlot(reader_slot);
-  if (io_.slot_misses == nullptr) {
-    ExecuteOp(probe);
-    return;
-  }
-  // Turn I/O armed: bracket the probe with its reader slot's miss counter.
-  // Probes sharing a worker run sequentially on that thread, so the delta
-  // is exactly this probe's misses.
-  const uint64_t before = io_.slot_misses(reader_slot);
-  ExecuteOp(probe);
-  probe.miss_delta = io_.slot_misses(reader_slot) - before;
-}
-
-void ParallelProbeScheduler::ExecuteOp(Probe& probe) {
-  if (op_ == Op::kNextNN) {
-    auto nn = engine_->NextNN(probe.expansion);
-    if (nn.ok()) {
-      probe.nn = std::move(nn).value();
-    } else {
-      probe.status = nn.status();
-    }
-    return;
-  }
-  for (int s = 0; s < stride_; ++s) {
-    auto ev = engine_->Step(probe.expansion);
-    if (!ev.ok()) {
-      probe.status = ev.status();
-      return;
-    }
-    probe.events.push_back(ev.value());
-    if (ev.value().type == ExpansionEvent::Type::kExhausted) return;
-  }
 }
 
 void ParallelProbeScheduler::ExecuteFromPool(uint32_t slot, int worker) {
@@ -86,6 +48,7 @@ void ParallelProbeScheduler::AbortFromPool(uint32_t slot) {
   // Only reachable when the pool shuts down non-draining mid-turn
   // (defensive; rigs drain queries before tearing the pool down). Unblock
   // the barrier with an error instead of hanging it.
+  probes_[slot].failed = true;
   probes_[slot].status = Status::FailedPrecondition(
       "probe discarded by pool shutdown");
   MutexLock lock(&mu_);
@@ -94,86 +57,35 @@ void ParallelProbeScheduler::AbortFromPool(uint32_t slot) {
   if (outstanding_ == 0) cv_.NotifyAll();
 }
 
-Status ParallelProbeScheduler::RunTurn(Op op, const std::vector<int>& targets,
-                                       int stride) {
-  MCN_CHECK(!targets.empty());
-  MCN_CHECK(stride >= 1);
-  // Turn-barrier cancellation point (DESIGN.md §10): an expired query fails
-  // the turn before any probe is dispatched, so no pool worker starts work
-  // on its behalf.
-  if (const CancelToken* cancel = engine_->cancel_token(); cancel != nullptr) {
-    MCN_RETURN_IF_ERROR(cancel->Check());
-  }
-  const size_t n = targets.size();
-  for (size_t k = 0; k < n; ++k) {
-    MCN_DCHECK(targets[k] >= 0 && targets[k] < engine_->num_costs());
-    MCN_DCHECK(k == 0 || targets[k] > targets[k - 1]);  // determinism
-  }
-  // Capture the caller's trace context for the pool threads and span the
-  // whole turn (dispatch + barrier): arg0 = width, arg1 = pooled.
+void ParallelProbeScheduler::RunPooled(size_t n) {
+  // Capture the caller's trace context for the pool threads.
   trace_ctx_ = obs::CurrentTraceContext();
-  const bool pooled = pool_ != nullptr && n > 1;
-  obs::TraceSpan turn_span(obs::EventType::kExpansionTurn,
-                           static_cast<uint64_t>(n));
-  turn_span.set_arg1(pooled ? 1 : 0);
-  ++stats_.turns;
-  stats_.probes += n;
-  stats_.max_width = std::max(stats_.max_width, static_cast<uint64_t>(n));
-
-  op_ = op;
-  stride_ = stride;
-  // Reset the probe slots in place. NextNN turns run allocation-free in
-  // steady state; Step turns hand each probe's event buffer to the caller
-  // (one vector allocation per probe per turn, amortized over the
-  // stride's settles — same count a copy-out would pay).
-  probes_.resize(n);
-  for (size_t k = 0; k < n; ++k) {
-    Probe& probe = probes_[k];
-    probe.expansion = targets[k];
-    probe.status = Status::OK();
-    probe.nn.reset();
-    probe.events.clear();
-    probe.miss_delta = 0;
-  }
-
-  if (pool_ == nullptr || n == 1) {
-    // Inline: same schedule, caller thread, reader slot 0.
-    for (uint32_t slot = 0; slot < n; ++slot) Execute(slot, 0);
-  } else {
-    stats_.pooled_probes += n;
-    {
-      MutexLock lock(&mu_);
-      outstanding_ = n;
-    }
-    for (uint32_t slot = 0; slot < n; ++slot) {
-      if (!pool_->Submit(ProbeTask{this, slot})) {
-        // Pool shut down under us: settle this probe's barrier ticket with
-        // an error; the turn fails after the in-flight probes finish.
-        probes_[slot].status =
-            Status::FailedPrecondition("probe pool is shut down");
-        MutexLock lock(&mu_);
-        --outstanding_;
-        if (outstanding_ == 0) cv_.NotifyAll();
-      }
-    }
+  stats_.pooled_probes += n;
+  {
     MutexLock lock(&mu_);
-    while (outstanding_ != 0) cv_.Wait(&mu_);
+    outstanding_ = n;
   }
-
-  for (const Probe& probe : probes_) {
-    if (!probe.status.ok()) return probe.status;
+  for (uint32_t slot = 0; slot < n; ++slot) {
+    if (!pool_->Submit(ProbeTask{this, slot})) {
+      // Pool shut down under us: settle this probe's barrier ticket with
+      // an error; the turn fails after the in-flight probes finish.
+      probes_[slot].failed = true;
+      probes_[slot].status =
+          Status::FailedPrecondition("probe pool is shut down");
+      MutexLock lock(&mu_);
+      --outstanding_;
+      if (outstanding_ == 0) cv_.NotifyAll();
+    }
   }
-  if (io_.enabled()) {
-    MCN_RETURN_IF_ERROR(FinishTurnIo());
-  }
-  return Status::OK();
+  MutexLock lock(&mu_);
+  while (outstanding_ != 0) cv_.Wait(&mu_);
 }
 
 Status ParallelProbeScheduler::FinishTurnIo() {
   uint64_t turn_max = 0;
-  for (const Probe& probe : probes_) {
-    stats_.probe_misses += probe.miss_delta;
-    turn_max = std::max(turn_max, probe.miss_delta);
+  for (size_t k = 0; k < width_; ++k) {
+    stats_.probe_misses += probes_[k].miss_delta;
+    turn_max = std::max(turn_max, probes_[k].miss_delta);
   }
   stats_.overlapped_misses += turn_max;
   if (io_.batch_disk != nullptr && io_.drain_missed != nullptr) {
@@ -204,56 +116,6 @@ Status ParallelProbeScheduler::FinishTurnIo() {
             .count();
   }
   return Status::OK();
-}
-
-std::vector<uint32_t> ParallelProbeScheduler::DeliveryOrder() const {
-  std::vector<uint32_t> order(probes_.size());
-  for (uint32_t k = 0; k < order.size(); ++k) order[k] = k;
-  if (mode_ == Mode::kFrontierOrdered) {
-    auto key = [&](uint32_t slot) {
-      const Probe& p = probes_[slot];
-      if (op_ == Op::kNextNN) {
-        return p.nn.has_value() ? p.nn->cost
-                                : std::numeric_limits<double>::infinity();
-      }
-      // A probe's events are non-decreasing in cost: order by the first.
-      return p.events.empty() ||
-                     p.events[0].type == ExpansionEvent::Type::kExhausted
-                 ? std::numeric_limits<double>::infinity()
-                 : p.events[0].cost;
-    };
-    std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       double ka = key(a), kb = key(b);
-                       if (ka != kb) return ka < kb;
-                       return probes_[a].expansion < probes_[b].expansion;
-                     });
-  }
-  return order;
-}
-
-Result<std::vector<ParallelProbeScheduler::NextNNOutcome>>
-ParallelProbeScheduler::NextNNTurn(const std::vector<int>& targets) {
-  MCN_RETURN_IF_ERROR(RunTurn(Op::kNextNN, targets, /*stride=*/1));
-  std::vector<NextNNOutcome> out;
-  out.reserve(probes_.size());
-  for (uint32_t slot : DeliveryOrder()) {
-    out.push_back(NextNNOutcome{probes_[slot].expansion, probes_[slot].nn});
-  }
-  return out;
-}
-
-Result<std::vector<ParallelProbeScheduler::StepOutcome>>
-ParallelProbeScheduler::StepTurn(const std::vector<int>& targets,
-                                 int stride) {
-  MCN_RETURN_IF_ERROR(RunTurn(Op::kStep, targets, stride));
-  std::vector<StepOutcome> out;
-  out.reserve(probes_.size());
-  for (uint32_t slot : DeliveryOrder()) {
-    out.push_back(StepOutcome{probes_[slot].expansion,
-                              std::move(probes_[slot].events)});
-  }
-  return out;
 }
 
 }  // namespace mcn::expand

@@ -40,6 +40,5 @@
 #include "mcn/storage/buffer_pool.h"
 #include "mcn/storage/disk_manager.h"
 #include "mcn/storage/persistence.h"
-#include "mcn/topk/topk.h"
 
 #endif  // MCN_MCN_H_

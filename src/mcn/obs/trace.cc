@@ -40,11 +40,6 @@ const char* EventTypeName(EventType type) {
 
 #if MCN_OBS
 
-Tracer& Tracer::Global() {
-  static Tracer* tracer = new Tracer();
-  return *tracer;
-}
-
 void Tracer::Enable(size_t events_per_ring) {
   if (events_per_ring == 0) events_per_ring = 1;
   MutexLock lock(&rings_mu_);

@@ -89,7 +89,12 @@ struct TraceEvent {
 /// Append is the data plane (see the file comment).
 class Tracer {
  public:
-  static Tracer& Global();
+  /// The process-wide tracer (never destroyed). Inline so a disabled
+  /// span's check stays a load and a branch at every call site.
+  static Tracer& Global() {
+    static Tracer* const tracer = new Tracer();
+    return *tracer;
+  }
 
   /// Turns collection on. Per-thread rings hold `events_per_ring` events
   /// (existing rings are resized; their content is cleared).
@@ -194,7 +199,9 @@ class TraceSpan {
     query_id_ = context.query_id;
     start_us_ = tracer.NowMicros();
   }
-  ~TraceSpan() { Finish(); }
+  ~TraceSpan() {
+    if (active_) Finish();
+  }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 

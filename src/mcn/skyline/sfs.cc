@@ -35,4 +35,21 @@ std::vector<uint32_t> SortFilterSkyline(std::span<const Tuple> data,
   return result;
 }
 
+std::vector<uint32_t> BruteForceSkyline(std::span<const Tuple> data,
+                                        SkylineStats* stats) {
+  SkylineStats local;
+  std::vector<uint32_t> result;
+  for (size_t i = 0; i < data.size(); ++i) {
+    bool dominated = false;
+    for (size_t j = 0; j < data.size() && !dominated; ++j) {
+      if (i == j) continue;
+      ++local.dominance_checks;
+      dominated = data[j].values.Dominates(data[i].values);
+    }
+    if (!dominated) result.push_back(data[i].id);
+  }
+  if (stats != nullptr) *stats = local;
+  return result;
+}
+
 }  // namespace mcn::skyline

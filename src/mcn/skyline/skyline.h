@@ -1,6 +1,7 @@
 // Conventional skyline operators over materialized tuples (paper §II-A).
-// Used by the naive MCN baseline (which first computes every facility's
-// complete cost vector) and available as standalone operators.
+// Sort-filter-skyline is the operator of the naive MCN baseline (which
+// first computes every facility's complete cost vector); the brute-force
+// operator is its test reference.
 #ifndef MCN_SKYLINE_SKYLINE_H_
 #define MCN_SKYLINE_SKYLINE_H_
 
@@ -21,12 +22,6 @@ struct Tuple {
 struct SkylineStats {
   uint64_t dominance_checks = 0;
 };
-
-/// Block-nested-loops skyline (Börzsönyi et al.): maintains a window of
-/// incomparable tuples. This in-memory variant keeps the whole window
-/// resident (no overflow file). Output in input order of the survivors.
-std::vector<uint32_t> BlockNestedLoopSkyline(std::span<const Tuple> data,
-                                             SkylineStats* stats = nullptr);
 
 /// Sort-filter-skyline (Chomicki et al.): presort by a monotone score
 /// (component sum) so that no tuple can dominate an earlier one; a single

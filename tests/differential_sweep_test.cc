@@ -8,12 +8,14 @@
 //    thread count invisible to the I/O accounting);
 //  * physical fetches obey the §IV-B "at most once per query" invariant
 //    (every physical fetch corresponds to exactly one cached record);
-//  * the ablation frontier policies run width-1 turns, which replay the
-//    classic serial schedule exactly — hashes and logical counts must
-//    match the serial engines byte for byte;
-//  * round-robin (the parallel schedule proper) must agree with the
-//    serial path and the naive.h ground truth on the results themselves:
-//    identical skyline sets, identical top-k / incremental entries.
+//  * the ablation frontier policies take width-1 turns at every
+//    parallelism, so the striped runs must replay the parallelism-0 run
+//    over the plain CEA engine exactly — hashes and logical counts byte
+//    for byte;
+//  * round-robin wide turns (the parallel schedule proper) must agree
+//    with the parallelism-0 run and the naive.h ground truth on the
+//    results themselves: identical skyline sets, identical top-k /
+//    incremental entries.
 //
 // All randomness derives from MCN_TEST_SEED (logged on entry); every
 // failure message carries the reseed command.
@@ -40,8 +42,6 @@
 
 namespace mcn::algo {
 namespace {
-
-using expand::ParallelProbeScheduler;
 
 struct SweepPoint {
   int num_costs;
@@ -189,7 +189,7 @@ TEST(DifferentialSweepTest, SerialAndParallelSchedulesAgree) {
                        " q=" + q.ToString() + " policy=" +
                        std::to_string(static_cast<int>(policy)) + " algo=" +
                        AlgoName(algo) + " | " + ReseedHint());
-          // Classic serial engines (per-probe schedule).
+          // Parallelism 0: width-1 turns, the paper's per-probe schedule.
           reset_pool();
           auto serial_engine =
               expand::MakeEngine(expand::EngineKind::kCea,
@@ -242,7 +242,7 @@ TEST(DifferentialSweepTest, SerialAndParallelSchedulesAgree) {
           }
 
           if (policy != ProbePolicy::kRoundRobin) {
-            // (3) Width-1 turns replay the serial schedule exactly.
+            // (3) Width-1 turns replay the parallelism-0 run exactly.
             EXPECT_EQ(serial.hash, turns[0].hash);
             EXPECT_EQ(serial.fetch.adjacency_requests,
                       turns[0].fetch.adjacency_requests);
@@ -255,43 +255,9 @@ TEST(DifferentialSweepTest, SerialAndParallelSchedulesAgree) {
             continue;
           }
 
-          // (4) The relaxed frontier-ordered delivery mode (ablation) is
-          // a different but still deterministic schedule: inline and
-          // pooled runs must be byte-identical to each other.
-          std::vector<Capture> relaxed;
-          for (size_t li : {size_t{0}, levels.size() - 1}) {
-            executors[li]->ResetIoState();
-            auto rig = executors[li]
-                           ->NewQuery(q, ParallelProbeScheduler::Mode::
-                                             kFrontierOrdered)
-                           .value();
-            QueryOptions exec;
-            exec.parallelism = levels[li];
-            exec.scheduler = rig.scheduler.get();
-            relaxed.push_back(
-                RunOne(algo, rig.engine.get(), exec, policy, f, k));
-          }
-          EXPECT_EQ(relaxed[0].hash, relaxed[1].hash)
-              << "frontier-ordered mode diverged across thread counts";
-          EXPECT_EQ(relaxed[0].fetch.adjacency_requests,
-                    relaxed[1].fetch.adjacency_requests);
-          EXPECT_EQ(relaxed[0].fetch.facility_requests,
-                    relaxed[1].fetch.facility_requests);
-          if (algo == Algo::kSkyline) {
-            std::set<graph::FacilityId> relaxed_ids(relaxed[0].ids.begin(),
-                                                    relaxed[0].ids.end());
-            EXPECT_EQ(relaxed_ids, naive_sky_ids) << "frontier-ordered mode";
-          } else {
-            ASSERT_EQ(relaxed[0].ids.size(), naive_topk.size())
-                << "frontier-ordered mode";
-            for (size_t r = 0; r < naive_topk.size(); ++r) {
-              EXPECT_EQ(relaxed[0].ids[r], naive_topk[r].facility)
-                  << "frontier-ordered mode, rank " << r;
-            }
-          }
-
-          // (5) Round-robin: the full-width turn schedule must agree with
-          // the serial path and the naive ground truth on the results.
+          // (4) Round-robin: the full-width turn schedule must agree with
+          // the parallelism-0 run and the naive ground truth on the
+          // results.
           switch (algo) {
             case Algo::kSkyline: {
               std::set<graph::FacilityId> serial_ids(serial.ids.begin(),

@@ -4,9 +4,12 @@
 #include <set>
 #include <tuple>
 
+#include "mcn/algo/result_hash.h"
 #include "mcn/algo/skyline_query.h"
 #include "mcn/expand/engines.h"
+#include "mcn/expand/probe_scheduler.h"
 #include "mcn/gen/facility_generator.h"
+#include "mcn/gen/workload.h"
 #include "test_util.h"
 
 namespace mcn::algo {
@@ -411,6 +414,118 @@ TEST(SkylineStatsTest, StatsAreConsistent) {
   EXPECT_GT(stats.dominance_checks, 0u);
   EXPECT_GE(stats.candidates_peak, 1u);
   EXPECT_TRUE(query.done());
+}
+
+struct SkylineGoldenTotals {
+  uint64_t nn_pops = 0;
+  uint64_t dominance_checks = 0;
+  uint64_t drain_rounds = 0;
+  uint64_t prune_checked = 0;
+  uint64_t prune_cut = 0;
+  uint64_t logical_fetches = 0;
+  uint64_t physical_fetches = 0;
+  uint64_t misses = 0;
+  uint64_t digest = kFnvOffsetBasis;
+};
+
+// Pins the exact work of the probe schedules, not just their answers: a
+// change to how the expansions are driven that kept the skyline but moved
+// a single pop, fetch or dominance test fails here. Four fixed queries at
+// scale 0.02 (K = 1, landmark index built), summed per leg; pool misses
+// include the index pool's.
+TEST(SkylineGoldenTest, GoldenWorkAtScale002) {
+  gen::ExperimentConfig config = gen::ExperimentConfig().Scaled(0.02);
+  config.landmarks = 64;
+  struct Golden {
+    expand::EngineKind engine;
+    int parallelism;
+    ProbePolicy policy;
+    bool landmarks;
+    SkylineGoldenTotals want;
+  };
+  using expand::EngineKind;
+  constexpr EngineKind kLsa = EngineKind::kLsa;
+  constexpr EngineKind kCea = EngineKind::kCea;
+  constexpr ProbePolicy kRR = ProbePolicy::kRoundRobin;
+  constexpr ProbePolicy kSF = ProbePolicy::kSmallestFrontier;
+  const Golden kGolden[] = {
+      {kLsa, 0, kRR, false,
+       {827, 3341, 4, 0, 0, 8308, 8308, 23632, 0x9be3f8c8806998a1ull}},
+      {kLsa, 1, kRR, false,
+       {871, 1818, 4, 0, 0, 6935, 6935, 19383, 0x06f13795f54dd346ull}},
+      {kLsa, 0, kSF, false,
+       {2131, 5258, 4, 0, 0, 9604, 9604, 25976, 0xb791c7056fbea2dbull}},
+      {kCea, 0, kRR, false,
+       {827, 3341, 4, 0, 0, 8308, 4066, 12219, 0x9be3f8c8806998a1ull}},
+      {kCea, 1, kRR, false,
+       {871, 1818, 4, 0, 0, 6935, 2846, 8472, 0x06f13795f54dd346ull}},
+      {kCea, 0, kSF, false,
+       {2131, 5258, 4, 0, 0, 9604, 3530, 11070, 0xb791c7056fbea2dbull}},
+      {kCea, 0, kRR, true,
+       {827, 3341, 4, 777, 332, 4548, 1839, 6132, 0x9be3f8c8806998a1ull}},
+  };
+  auto instance = gen::BuildShardedInstance(config, 1).value();
+  ASSERT_NE(instance->landmark_reader, nullptr);
+  std::vector<Location> queries;
+  // A query set whose skylines reach the shrinking stage and the prune
+  // oracle at this scale (many random locations sit next to a facility
+  // that dominates everything).
+  Random rng(9);
+  for (int i = 0; i < 4; ++i) {
+    queries.push_back(instance->RandomQueryLocation(rng));
+  }
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE(std::string(g.engine == kLsa ? "LSA" : "CEA") +
+                 " p=" + std::to_string(g.parallelism) +
+                 (g.policy == kRR ? " round-robin" : " smallest-frontier") +
+                 (g.landmarks ? " landmarks" : ""));
+    SkylineGoldenTotals got;
+    for (const Location& q : queries) {
+      instance->ResetIoState();
+      auto engine =
+          expand::MakeEngine(g.engine, instance->reader.get(), q).value();
+      std::unique_ptr<expand::ParallelProbeScheduler> scheduler;
+      SkylineOptions opts;
+      opts.probe_policy = g.policy;
+      opts.exec.parallelism = g.parallelism;
+      if (g.parallelism >= 1) {
+        scheduler = std::make_unique<expand::ParallelProbeScheduler>(
+            engine.get(), /*pool=*/nullptr, /*striped=*/nullptr);
+        opts.exec.scheduler = scheduler.get();
+      }
+      if (g.landmarks) {
+        opts.exec.landmark_index = instance->landmark_reader.get();
+      }
+      SkylineQuery query(engine.get(), opts);
+      const std::vector<SkylineEntry> rows = query.ComputeAll().value();
+      for (const SkylineEntry& row : rows) {
+        got.digest = FnvMixU64(got.digest, row.facility);
+        for (int j = 0; j < row.costs.dim(); ++j) {
+          got.digest = FnvMixU64(got.digest, DoubleBits(row.costs[j]));
+        }
+      }
+      const SkylineQuery::Stats& st = query.stats();
+      got.nn_pops += st.nn_pops;
+      got.dominance_checks += st.dominance_checks;
+      got.drain_rounds += st.drain_rounds;
+      got.prune_checked += st.prune_checked;
+      got.prune_cut += st.prune_cut;
+      const expand::FetchProvider::Stats& fs = engine->fetch().stats();
+      got.logical_fetches += fs.adjacency_requests + fs.facility_requests;
+      got.physical_fetches += fs.adjacency_fetches + fs.facility_fetches;
+      got.misses += instance->reader->PoolStats().misses +
+                    instance->landmark_reader->pool().stats().misses;
+    }
+    EXPECT_EQ(got.nn_pops, g.want.nn_pops);
+    EXPECT_EQ(got.dominance_checks, g.want.dominance_checks);
+    EXPECT_EQ(got.drain_rounds, g.want.drain_rounds);
+    EXPECT_EQ(got.prune_checked, g.want.prune_checked);
+    EXPECT_EQ(got.prune_cut, g.want.prune_cut);
+    EXPECT_EQ(got.logical_fetches, g.want.logical_fetches);
+    EXPECT_EQ(got.physical_fetches, g.want.physical_fetches);
+    EXPECT_EQ(got.misses, g.want.misses);
+    EXPECT_EQ(got.digest, g.want.digest);
+  }
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "mcn/algo/result_hash.h"
 #include "mcn/algo/topk_query.h"
 #include "mcn/expand/engines.h"
+#include "mcn/expand/probe_scheduler.h"
+#include "mcn/gen/workload.h"
 #include "test_util.h"
 
 namespace mcn::algo {
@@ -251,6 +254,99 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{4, gen::CostDistribution::kCorrelated, 4, 27},
         SweepParam{5, gen::CostDistribution::kAntiCorrelated, 8, 28},
         SweepParam{5, gen::CostDistribution::kIndependent, 1, 29}));
+
+struct TopKGoldenTotals {
+  uint64_t nn_pops = 0;
+  uint64_t lb_eliminations = 0;
+  uint64_t replacements = 0;
+  uint64_t logical_fetches = 0;
+  uint64_t physical_fetches = 0;
+  uint64_t misses = 0;
+  uint64_t digest = kFnvOffsetBasis;
+};
+
+// Pins the exact work of the probe schedules, not just their answers (see
+// SkylineGoldenTest.GoldenWorkAtScale002): four fixed top-4 queries at
+// scale 0.02 (K = 1), summed per leg.
+TEST(TopKGoldenTest, GoldenWorkAtScale002) {
+  const gen::ExperimentConfig config = gen::ExperimentConfig().Scaled(0.02);
+  struct Golden {
+    expand::EngineKind engine;
+    int parallelism;
+    ProbePolicy policy;
+    TopKGoldenTotals want;
+  };
+  using expand::EngineKind;
+  constexpr EngineKind kLsa = EngineKind::kLsa;
+  constexpr EngineKind kCea = EngineKind::kCea;
+  constexpr ProbePolicy kRR = ProbePolicy::kRoundRobin;
+  constexpr ProbePolicy kSF = ProbePolicy::kSmallestFrontier;
+  const Golden kGolden[] = {
+      {kLsa, 0, kRR,
+       {1016, 465, 2, 3268, 3268, 8231, 0x27b2cbbf8b4ac5b5ull}},
+      {kLsa, 1, kRR,
+       {1156, 541, 2, 3579, 3579, 8876, 0x27b2cbbf8b4ac5b5ull}},
+      {kLsa, 0, kSF,
+       {2124, 1076, 1, 6568, 6568, 17114, 0x27b2cbbf8b4ac5b5ull}},
+      {kCea, 0, kRR,
+       {1016, 465, 2, 3268, 1448, 4681, 0x27b2cbbf8b4ac5b5ull}},
+      {kCea, 1, kRR,
+       {1156, 541, 2, 3579, 1445, 4723, 0x27b2cbbf8b4ac5b5ull}},
+      {kCea, 0, kSF,
+       {2124, 1076, 1, 6568, 2628, 8862, 0x27b2cbbf8b4ac5b5ull}},
+  };
+  auto instance = gen::BuildShardedInstance(config, 1).value();
+  std::vector<Location> queries;
+  std::vector<std::vector<double>> weights;
+  Random rng(2024);
+  for (uint64_t i = 0; i < 4; ++i) {
+    queries.push_back(instance->RandomQueryLocation(rng));
+    weights.push_back(test::TestWeights(config.num_costs, 90 + i));
+  }
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE(std::string(g.engine == kLsa ? "LSA" : "CEA") +
+                 " p=" + std::to_string(g.parallelism) +
+                 (g.policy == kRR ? " round-robin" : " smallest-frontier"));
+    TopKGoldenTotals got;
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      instance->ResetIoState();
+      auto engine =
+          expand::MakeEngine(g.engine, instance->reader.get(), queries[qi])
+              .value();
+      std::unique_ptr<expand::ParallelProbeScheduler> scheduler;
+      TopKOptions opts;
+      opts.k = 4;
+      opts.probe_policy = g.policy;
+      opts.exec.parallelism = g.parallelism;
+      if (g.parallelism >= 1) {
+        scheduler = std::make_unique<expand::ParallelProbeScheduler>(
+            engine.get(), /*pool=*/nullptr, /*striped=*/nullptr);
+        opts.exec.scheduler = scheduler.get();
+      }
+      TopKQuery query(engine.get(), WeightedSum(weights[qi]), opts);
+      const std::vector<TopKEntry> rows = query.Run().value();
+      for (const TopKEntry& row : rows) {
+        got.digest = FnvMixU64(got.digest, row.facility);
+        got.digest = FnvMixU64(got.digest, DoubleBits(row.score));
+      }
+      const TopKQuery::Stats& st = query.stats();
+      got.nn_pops += st.nn_pops;
+      got.lb_eliminations += st.lb_eliminations;
+      got.replacements += st.replacements;
+      const expand::FetchProvider::Stats& fs = engine->fetch().stats();
+      got.logical_fetches += fs.adjacency_requests + fs.facility_requests;
+      got.physical_fetches += fs.adjacency_fetches + fs.facility_fetches;
+      got.misses += instance->reader->PoolStats().misses;
+    }
+    EXPECT_EQ(got.nn_pops, g.want.nn_pops);
+    EXPECT_EQ(got.lb_eliminations, g.want.lb_eliminations);
+    EXPECT_EQ(got.replacements, g.want.replacements);
+    EXPECT_EQ(got.logical_fetches, g.want.logical_fetches);
+    EXPECT_EQ(got.physical_fetches, g.want.physical_fetches);
+    EXPECT_EQ(got.misses, g.want.misses);
+    EXPECT_EQ(got.digest, g.want.digest);
+  }
+}
 
 }  // namespace
 }  // namespace mcn::algo

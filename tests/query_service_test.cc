@@ -284,8 +284,8 @@ TEST(QueryServiceTest, IntraQueryParallelismKeepsHashesIdentical) {
   // QuerySpec::parallelism routes a query onto the worker's turn-barrier
   // rig (DESIGN.md §7). The turn schedule must be byte-identical whether it
   // runs inline (parallelism 1) or on probe workers (parallelism 4), for
-  // every query kind; the classic serial path (parallelism 0) must agree
-  // on the result sets, checked here via skyline sizes and top-k hashes.
+  // every query kind; the width-1 schedule (parallelism 0) must agree on
+  // the result sets, checked here via skyline sizes and top-k hashes.
   ServiceFixture fx;
   std::vector<api::QuerySpec> base = fx.MixedWorkload(12);
   for (api::QuerySpec& req : base) req.engine = expand::EngineKind::kCea;

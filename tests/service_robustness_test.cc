@@ -17,6 +17,7 @@
 #include "mcn/api/client.h"
 #include "mcn/api/server.h"
 #include "mcn/common/cancel.h"
+#include "mcn/common/fault_injector.h"
 #include "mcn/exec/query_service.h"
 #include "mcn/expand/engines.h"
 #include "mcn/gen/workload.h"
@@ -151,6 +152,54 @@ TEST(ServiceRobustnessTest, DeadlinedQueriesBehindSlowTrafficTimeOut) {
   EXPECT_EQ(stats.failed, static_cast<uint64_t>(timed_out));
   EXPECT_EQ(stats.rejected, 0u);
   rig.service->Shutdown();
+}
+
+// A request that fails while executing spent that time executing: its
+// expiry must not be booked as queue wait, and the I/O it did before it
+// failed is counted. Every disk read sleeps 1 ms, so a cold skyline and a
+// first session batch both outlive their 30 ms deadline mid-expansion on
+// an otherwise idle one-worker service.
+TEST(ServiceRobustnessTest, FailedRequestsBookExecutionNotQueueWait) {
+  auto instance =
+      gen::BuildShardedInstance(gen::ExperimentConfig().Scaled(0.02), 1)
+          .value();
+  ServiceOptions opts;
+  opts.num_workers = 1;
+  opts.pool_frames_per_worker = instance->pool_frames;
+  auto service =
+      QueryService::Create(&instance->storage, instance->files, opts).value();
+  Random rng(17);
+  QuerySpec skyline = SkylineSpec(instance->RandomQueryLocation(rng));
+  skyline.deadline_ms = 30;
+  QuerySpec incremental = IncrementalSpec(
+      instance->RandomQueryLocation(rng), 3,
+      test::TestWeights(instance->graph.num_costs(), 5));
+  incremental.deadline_ms = 30;
+  const SessionId session = service->OpenSession(incremental).value();
+
+  FaultInjector::Options faults;
+  faults.disk_delay = 1.0;
+  faults.disk_delay_us = 1000;
+  FaultInjector injector(faults);
+  FaultInjector::Install(&injector);
+  // Sequential: each request finds the worker idle.
+  const QueryResult one_shot = service->Submit(skyline).get();
+  const QueryResult batch = service->SessionNext(session, 64).get();
+  FaultInjector::Install(nullptr);
+
+  for (const QueryResult* r : {&one_shot, &batch}) {
+    SCOPED_TRACE(r == &one_shot ? "one-shot skyline" : "session batch");
+    EXPECT_EQ(r->status.code(), StatusCode::kDeadlineExceeded)
+        << r->status.ToString();
+    EXPECT_GT(r->stats.exec_seconds, r->stats.queue_seconds);
+    EXPECT_GT(r->stats.buffer_misses, 0u);
+    EXPECT_GE(r->stats.buffer_accesses, r->stats.buffer_misses);
+    EXPECT_GT(r->stats.local_fetches, 0u);
+  }
+  const obs::Snapshot snap = service->MetricsSnapshot();
+  EXPECT_LT(snap.CounterValue(metric_names::kQueueMicros),
+            snap.CounterValue(metric_names::kCpuMicros));
+  service->Shutdown();
 }
 
 TEST(ServiceRobustnessTest, CoalescedCacheWaiterHonorsItsOwnDeadline) {

@@ -27,10 +27,8 @@ std::set<uint32_t> AsSet(const std::vector<uint32_t>& v) {
 }
 
 TEST(ClassicSkylineTest, EmptyAndSingle) {
-  EXPECT_TRUE(BlockNestedLoopSkyline({}).empty());
   EXPECT_TRUE(SortFilterSkyline({}).empty());
   std::vector<Tuple> one{{7, graph::CostVector{1, 2}}};
-  EXPECT_EQ(BlockNestedLoopSkyline(one), std::vector<uint32_t>{7});
   EXPECT_EQ(SortFilterSkyline(one), std::vector<uint32_t>{7});
 }
 
@@ -41,7 +39,6 @@ TEST(ClassicSkylineTest, HandExample) {
       {4, graph::CostVector{2, 6}},  // dominated by 0? (1,5)<(2,6) yes
   };
   std::set<uint32_t> expected{0, 1, 2};
-  EXPECT_EQ(AsSet(BlockNestedLoopSkyline(data)), expected);
   EXPECT_EQ(AsSet(SortFilterSkyline(data)), expected);
   EXPECT_EQ(AsSet(BruteForceSkyline(data)), expected);
 }
@@ -53,7 +50,6 @@ TEST(ClassicSkylineTest, DuplicateVectorsAllKept) {
       {2, graph::CostVector{2, 2}},
   };
   std::set<uint32_t> expected{0, 1};
-  EXPECT_EQ(AsSet(BlockNestedLoopSkyline(data)), expected);
   EXPECT_EQ(AsSet(SortFilterSkyline(data)), expected);
 }
 
@@ -71,7 +67,6 @@ TEST_P(ClassicSkylineSweep, AllAlgorithmsAgreeWithBruteForce) {
   Random rng(p.seed);
   auto data = RandomTuples(rng, p.n, p.d, p.dist);
   auto brute = AsSet(BruteForceSkyline(data));
-  EXPECT_EQ(AsSet(BlockNestedLoopSkyline(data)), brute);
   EXPECT_EQ(AsSet(SortFilterSkyline(data)), brute);
 }
 
@@ -90,7 +85,7 @@ TEST_P(ClassicSkylineSweep, SkylineIsMutuallyIncomparable) {
   const ClassicParam& p = GetParam();
   Random rng(p.seed + 2);
   auto data = RandomTuples(rng, p.n, p.d, p.dist);
-  auto ids = BlockNestedLoopSkyline(data);
+  auto ids = SortFilterSkyline(data);
   for (uint32_t a : ids) {
     for (uint32_t b : ids) {
       if (a != b) {

@@ -27,6 +27,14 @@ Rules (each can be suppressed, see below):
       is UB; format code loads through std::memcpy. (char* casts for
       iostream I/O are fine and not matched.)
 
+  engine-calls-via-turns
+      engine_->NextNN( or engine_->Step( in the three query processors
+      (algo/skyline_query.cc, algo/topk_query.cc, algo/incremental_topk.cc).
+      They advance their expansions only through ParallelProbeScheduler
+      turns (algo/turn_dispatch.h, DESIGN.md §7), so every schedule gets
+      the turn's cancellation point, trace span and turn-level I/O. The
+      naive oracle (algo/naive.cc) may still call the engine directly.
+
 Suppression syntax (a justifying comment is required by review convention):
 
   // mcn-lint: disable=<rule>            suppress on this line
@@ -89,6 +97,15 @@ RULES = [
         ),
         "typed reinterpret load in format code; load through std::memcpy "
         "(alignment + aliasing)",
+    ),
+    (
+        "engine-calls-via-turns",
+        re.compile(
+            r"src/mcn/algo/(skyline_query|topk_query|incremental_topk)\.cc$"
+        ),
+        re.compile(r"\bengine_->(NextNN|Step)\("),
+        "query processor drives the engine directly; advance expansions "
+        "through TurnDispatcher / ParallelProbeScheduler turns",
     ),
 ]
 
@@ -162,6 +179,10 @@ BAD_EXAMPLES = {
     "reinterpret-load-in-format": (
         "src/mcn/storage/persistence.cc",
         "const uint32_t* v = reinterpret_cast<const uint32_t*>(p);\n",
+    ),
+    "engine-calls-via-turns": (
+        "src/mcn/algo/topk_query.cc",
+        "MCN_ASSIGN_OR_RETURN(auto nn, engine_->NextNN(i));\n",
     ),
 }
 
