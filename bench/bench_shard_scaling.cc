@@ -3,10 +3,11 @@
 // Builds the fig. 8(a) base configuration once per shard count K in
 // {1, 2, 4} — the *same* generated network every time, laid out as K
 // per-tile file sets — and serves an identical fixed set of skyline
-// queries through a shard-affine exec::QueryService at a fixed worker
-// count, for both engine flavors. Submit routes each query to the worker
-// group owning its location; per-miss I/O stalls are slept for real so
-// QPS reflects overlapped I/O across the shard pools.
+// queries through an exec::QueryService at a fixed worker count, for both
+// engine flavors. Every worker drains the service's one work queue; each
+// query's fetches are booked local or remote against the tile of its
+// location. Per-miss I/O stalls are slept for real so QPS reflects
+// overlapped I/O across the shard pools.
 //
 // Pool memory model (MCN_SHARD_POOL_MODE): "socket" (default) gives every
 // shard pool the full per-worker frame budget — the ROADMAP's per-socket

@@ -1,9 +1,9 @@
 // query_server: the preference-query service end to end (DESIGN.md §6,
 // §8, §9) — now an actual TCP server speaking the api/wire protocol.
 //
-// Builds a mid-sized instance, stands up an exec::QueryService with
-// shard-affine worker groups, and binds an api::Server on 127.0.0.1. Two
-// modes:
+// Builds a mid-sized instance, stands up an exec::QueryService whose
+// workers share one work queue, and binds an api::Server on 127.0.0.1.
+// Two modes:
 //
 //   demo (default)   an in-process api::Client connects through the real
 //                    socket and drives a mixed workload — skyline, top-k
@@ -20,14 +20,16 @@
 //   --port=P         TCP port (default 0 = ephemeral; printed on start).
 //   --serve          foreground server mode (see above).
 //   --shards=K       serve from a K-way sharded layout (grid-tile
-//                    partition, affinity-routed execution). Default 1.
+//                    partition; each request is booked on the tile of its
+//                    location). Default 1.
 //   --workers=N      service workers (default 4).
-//   --pin-workers    best-effort CPU pinning of each shard group's
-//                    threads (ignored where unsupported).
+//   --pin-workers    best-effort CPU pinning of worker i to CPU i
+//                    (ignored where unsupported).
 //   --deadline-ms=D  per-request deadline stamped into every demo spec
 //                    (0 = none). Expired queries resolve DeadlineExceeded.
-//   --max-inflight=M admission cap per worker group; requests over the cap
-//                    are load-shed with ResourceExhausted (0 = unbounded).
+//   --max-inflight=M admission cap on the whole service; requests over the
+//                    cap are load-shed with ResourceExhausted
+//                    (0 = unbounded).
 //   --inject-faults=SPEC
 //                    install a deterministic fault injector, e.g.
 //                    "seed=7,disk_eio=0.01,recv_delay=0.05" (see
@@ -309,16 +311,15 @@ int RunDemo(QueryService& service, int port, int deadline_ms,
       static_cast<double>(stats.buffer_misses) /
           static_cast<double>(stats.completed ? stats.completed : 1));
 
-  // Per-shard table: who executed what, and how often expansions escaped
-  // their home tile (the §8 remote-fetch accounting).
+  // Per-shard table: the requests homed on each tile, and how often their
+  // expansions escaped it (the §8 remote-fetch accounting).
   std::printf(
-      "\n  shard | workers | completed | misses   | local    | remote   | "
-      "remote%%\n"
-      "  ------+---------+-----------+----------+----------+----------+--------\n");
+      "\n  shard | completed | misses   | local    | remote   | remote%%\n"
+      "  ------+-----------+----------+----------+----------+--------\n");
   for (const auto& row : stats.per_shard) {
-    std::printf("  %5d | %7d | %9" PRIu64 " | %8" PRIu64 " | %8" PRIu64
+    std::printf("  %5d | %9" PRIu64 " | %8" PRIu64 " | %8" PRIu64
                 " | %8" PRIu64 " | %6.1f%%\n",
-                row.shard, row.workers, row.completed, row.buffer_misses,
+                row.shard, row.completed, row.buffer_misses,
                 row.local_fetches, row.remote_fetches,
                 100.0 * row.RemoteRatio());
   }
@@ -419,9 +420,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "serving the wire protocol on 127.0.0.1:%d — %d workers in %d "
-      "shard-affine group(s), %zu-frame pool budget each%s\n",
-      (*server)->port(), (*service)->num_workers(), (*service)->num_groups(),
+      "serving the wire protocol on 127.0.0.1:%d — %d workers on one "
+      "work queue over %d shard(s), %zu-frame pool budget each%s\n",
+      (*server)->port(), (*service)->num_workers(), flags.shards,
       options.pool_frames_per_worker,
       flags.pin_workers ? ", workers pinned (best effort)" : "");
 

@@ -10,9 +10,9 @@
 //
 // Concurrency model: one acceptor thread plus one thread per connection
 // (connections are long-lived clients; per-request concurrency comes from
-// the QueryService's worker groups, which the connection threads block
-// on). A dedicated reaper thread joins finished connection threads as they
-// exit (condition-signalled, with a periodic timer sweep as backstop), so
+// the QueryService's workers, which the connection threads block on). A
+// dedicated reaper thread joins finished connection threads as they exit
+// (condition-signalled, with a periodic timer sweep as backstop), so
 // a long-running server never accumulates dead threads or fds between
 // accepts. Sessions opened by a connection are closed when it disconnects;
 // Stop() asserts the server leaked none.

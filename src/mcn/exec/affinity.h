@@ -1,4 +1,4 @@
-// Best-effort CPU pinning for shard-affine worker groups (DESIGN.md §8).
+// Best-effort CPU pinning for the service's workers (DESIGN.md §8).
 // On Linux this wraps sched_setaffinity for the calling thread; elsewhere
 // (and whenever the syscall is refused, e.g. restricted CI containers) it
 // is a no-op that reports failure without consequence — pinning is a

@@ -78,7 +78,7 @@ class ExpansionExecutor {
   storage::BufferPool::Stats PoolStats() const;
   /// Routed-fetch counters summed over all slots.
   shard::ShardedNetworkReader::ShardIoStats ShardIoStats() const;
-  /// Binds every slot reader's affinity for the local/remote fetch split.
+  /// Binds every slot reader's home shard for the local/remote fetch split.
   /// Call between queries.
   void SetHomeShard(shard::ShardId home);
 

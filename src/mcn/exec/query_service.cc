@@ -232,6 +232,8 @@ QueryService::QueryService(shard::ShardedStorage* storage,
   workers_.reserve(opts_.num_workers);
   for (int w = 0; w < opts_.num_workers; ++w) {
     auto worker = std::make_unique<Worker>();
+    // Rebound to each request's home shard before it runs (RunQuery).
+    worker->reader = MakeReader(shard::kInvalidShard);
     if (opts_.enable_prune_index && files_.landmark.present()) {
       // Create() validated the index file already; a per-worker reader
       // over the same pages cannot fail differently.
@@ -247,51 +249,25 @@ QueryService::QueryService(shard::ShardedStorage* storage,
   // Freeze the shared storage read-only for the service's lifetime; the
   // storage layer DCHECKs any mutation from here on (DESIGN.md §6).
   storage_->BeginConcurrentReads();
-  StartGroups();
-}
-
-void QueryService::StartGroups() {
-  // Shard-affine worker groups: one group per shard when the worker
-  // budget allows, otherwise min(K, workers) groups serving the shards
-  // round-robin (RouteGroupIndex).
-  const int num_groups = std::min(storage_->num_shards(), opts_.num_workers);
-  groups_.resize(num_groups);
-  int next_worker = 0;
-  for (int g = 0; g < num_groups; ++g) {
-    Group& group = groups_[g];
-    group.shard = static_cast<shard::ShardId>(g);
-    group.base = next_worker;
-    group.count = opts_.num_workers / num_groups +
-                  (g < opts_.num_workers % num_groups ? 1 : 0);
-    next_worker += group.count;
-    for (int w = group.base; w < group.base + group.count; ++w) {
-      Worker& worker = *workers_[w];
-      worker.home_shard = group.shard;
-      worker.reader = MakeReader(group.shard);
-    }
-    group.inflight = std::make_unique<std::atomic<int64_t>>(0);
-    group.pool = std::make_unique<ThreadPool<Task>>(
-        group.count, opts_.queue_capacity,
-        [this, g](Task&& task, int local_worker) {
-          Execute(std::move(task), groups_[g], local_worker);
-        },
-        [this, g](Task&& task) {
-          if (task.session != nullptr) {
-            task.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
-          }
-          if (opts_.max_inflight > 0) {
-            groups_[g].inflight->fetch_sub(1, std::memory_order_acq_rel);
-          }
-          QueryResult discarded;
-          discarded.status = Status::FailedPrecondition(
-              "query discarded by non-draining shutdown");
-          // A flighted task that never runs must still settle its
-          // coalesced waiters (shared fate, never a hang).
-          AbandonCacheFlight(task, discarded.status);
-          task.promise.set_value(std::move(discarded));
-        });
-  }
-  MCN_CHECK(next_worker == opts_.num_workers);
+  // One work queue that every worker drains (DESIGN.md §6, §8).
+  pool_ = std::make_unique<ThreadPool<Task>>(
+      opts_.num_workers, opts_.queue_capacity,
+      [this](Task&& task, int worker) { Execute(std::move(task), worker); },
+      [this](Task&& task) {
+        if (task.session != nullptr) {
+          task.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
+        }
+        if (opts_.max_inflight > 0) {
+          inflight_.fetch_sub(1, std::memory_order_acq_rel);
+        }
+        QueryResult discarded;
+        discarded.status = Status::FailedPrecondition(
+            "query discarded by non-draining shutdown");
+        // A flighted task that never runs must still settle its
+        // coalesced waiters (shared fate, never a hang).
+        AbandonCacheFlight(task, discarded.status);
+        task.promise.set_value(std::move(discarded));
+      });
 }
 
 QueryService::~QueryService() { Shutdown(/*drain=*/true); }
@@ -314,16 +290,19 @@ std::unique_ptr<shard::ShardedNetworkReader> QueryService::MakeReader(
   return reader;
 }
 
-int QueryService::RouteGroupIndex(const graph::Location& location) const {
-  if (groups_.size() == 1) return 0;
+shard::ShardId QueryService::HomeShard(
+    const graph::Location& location) const {
+  // Out-of-range locations fail validation on the worker; book them on
+  // shard 0 meanwhile.
   const shard::Partition& part = storage_->partition();
-  shard::ShardId s = 0;
   if (location.is_node()) {
-    if (location.node() < part.num_nodes()) s = part.of_node(location.node());
+    if (location.node() < part.num_nodes()) {
+      return part.of_node(location.node());
+    }
   } else if (location.edge().u < part.num_nodes()) {
-    s = part.of_edge(location.edge());
+    return part.of_edge(location.edge());
   }
-  return static_cast<int>(s % groups_.size());
+  return 0;
 }
 
 void QueryService::AbandonCacheFlight(Task& task, const Status& status) {
@@ -337,29 +316,28 @@ void QueryService::AbandonCacheFlight(Task& task, const Status& status) {
   task.cache_flight = nullptr;
 }
 
-std::future<QueryResult> QueryService::Enqueue(Task&& task, Group& group) {
+std::future<QueryResult> QueryService::Enqueue(Task&& task) {
   std::future<QueryResult> future = task.promise.get_future();
   if (opts_.max_inflight > 0) {
     // Admission control (DESIGN.md §10): never park the caller. The
     // in-flight ticket is taken optimistically and returned on any
     // rejection; Execute / the discard handler return it at completion.
-    auto& inflight = *group.inflight;
-    if (inflight.fetch_add(1, std::memory_order_acq_rel) >=
+    if (inflight_.fetch_add(1, std::memory_order_acq_rel) >=
         static_cast<int64_t>(opts_.max_inflight)) {
-      inflight.fetch_sub(1, std::memory_order_acq_rel);
+      inflight_.fetch_sub(1, std::memory_order_acq_rel);
       if (task.session != nullptr) {
         task.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
       }
       metrics_.rejected->Add(1);
       Status shed = Status::ResourceExhausted(
-          "QueryService: group over max_inflight (" +
+          "QueryService: over max_inflight (" +
           std::to_string(opts_.max_inflight) + "), load shed");
       AbandonCacheFlight(task, shed);
       return ReadyFailure(std::move(shed));
     }
-    const auto outcome = group.pool->TrySubmit(std::move(task));
+    const auto outcome = pool_->TrySubmit(std::move(task));
     if (outcome == ThreadPool<Task>::TryResult::kAccepted) return future;
-    inflight.fetch_sub(1, std::memory_order_acq_rel);
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
     // TrySubmit left the task unconsumed: a session batch still owns its
     // ticket — return it before resolving.
     if (task.session != nullptr) {
@@ -368,7 +346,7 @@ std::future<QueryResult> QueryService::Enqueue(Task&& task, Group& group) {
     if (outcome == ThreadPool<Task>::TryResult::kFull) {
       metrics_.rejected->Add(1);
       Status shed = Status::ResourceExhausted(
-          "QueryService: group queue full, load shed");
+          "QueryService: queue full, load shed");
       AbandonCacheFlight(task, shed);
       return ReadyFailure(std::move(shed));
     }
@@ -376,7 +354,7 @@ std::future<QueryResult> QueryService::Enqueue(Task&& task, Group& group) {
     AbandonCacheFlight(task, down);
     return ReadyFailure(std::move(down));
   }
-  if (!group.pool->Submit(std::move(task))) {
+  if (!pool_->Submit(std::move(task))) {
     // Shutdown already began: Submit did not consume the task, so a
     // session batch still owns its inflight ticket — return it, and
     // resolve immediately instead of blocking.
@@ -411,13 +389,13 @@ std::string QueryService::CanonicalCacheKey(const api::QuerySpec& spec,
 
 std::future<QueryResult> QueryService::Submit(api::QuerySpec spec) {
   Task task;
-  Group& group = groups_[RouteGroupIndex(spec.location)];
+  task.home_shard = HomeShard(spec.location);
   // Adopt the caller's installed trace context (the wire server traces
   // decode/encode under the same query id) or mint a fresh one.
   task.trace = obs::CurrentTraceContext();
   if (!task.trace.active()) task.trace = obs::StartQueryTrace();
   obs::RecordInstant(task.trace, obs::EventType::kAdmission,
-                     static_cast<uint64_t>(&group - groups_.data()));
+                     task.home_shard);
   task.enqueue_time = std::chrono::steady_clock::now();
   if (spec.deadline_ms > 0) {
     // The deadline covers the full request lifetime from admission: queue
@@ -474,7 +452,7 @@ std::future<QueryResult> QueryService::Submit(api::QuerySpec spec) {
         break;
     }
   }
-  return Enqueue(std::move(task), group);
+  return Enqueue(std::move(task));
 }
 
 Result<SessionId> QueryService::OpenSession(api::QuerySpec spec) {
@@ -484,7 +462,7 @@ Result<SessionId> QueryService::OpenSession(api::QuerySpec spec) {
   }
   MCN_RETURN_IF_ERROR(spec.Validate(num_costs()));
   auto session = std::make_shared<Session>();
-  session->group = RouteGroupIndex(spec.location);
+  session->home_shard = HomeShard(spec.location);
   session->spec = std::move(spec);
   session->last_used = std::chrono::steady_clock::now();
   MutexLock lock(&sessions_mu_);
@@ -549,12 +527,12 @@ std::future<QueryResult> QueryService::SessionNext(SessionId id, int n) {
     session->last_used = std::chrono::steady_clock::now();
   }
   Task task;
-  Group& group = groups_[session->group];
   task.batch_n = n;
+  task.home_shard = session->home_shard;
   task.trace = obs::CurrentTraceContext();
   if (!task.trace.active()) task.trace = obs::StartQueryTrace();
   obs::RecordInstant(task.trace, obs::EventType::kAdmission,
-                     static_cast<uint64_t>(session->group));
+                     task.home_shard);
   task.enqueue_time = std::chrono::steady_clock::now();
   if (session->spec.deadline_ms > 0) {
     // A session's deadline applies per batch, re-anchored at each pull.
@@ -563,7 +541,7 @@ std::future<QueryResult> QueryService::SessionNext(SessionId id, int n) {
                     std::chrono::milliseconds(session->spec.deadline_ms);
   }
   task.session = std::move(session);
-  return Enqueue(std::move(task), group);
+  return Enqueue(std::move(task));
 }
 
 Status QueryService::CloseSession(SessionId id) {
@@ -583,9 +561,7 @@ size_t QueryService::num_open_sessions() const {
   return sessions_.size();
 }
 
-void QueryService::Drain() {
-  for (Group& group : groups_) group.pool->Drain();
-}
+void QueryService::Drain() { pool_->Drain(); }
 
 void QueryService::Shutdown(bool drain) {
   {
@@ -593,7 +569,7 @@ void QueryService::Shutdown(bool drain) {
     if (shut_down_) return;
     shut_down_ = true;
   }
-  for (Group& group : groups_) group.pool->Shutdown(drain);
+  pool_->Shutdown(drain);
   {
     // Drop the streams (their pools read the shared storage) before the
     // read-only freeze is lifted.
@@ -603,15 +579,14 @@ void QueryService::Shutdown(bool drain) {
   storage_->EndConcurrentReads();
 }
 
-void QueryService::Execute(Task&& task, Group& group, int local_worker) {
-  const int worker_index = group.base + local_worker;
-  Worker& shard = *workers_[worker_index];
-  if (opts_.pin_workers && !shard.pinned) {
-    // Contiguous CPU range per group (the NUMA-node placeholder); a
-    // worker executes on a fixed pool thread, so pinning on the first
-    // task pins that thread for good. Best-effort by design.
+void QueryService::Execute(Task&& task, int worker_index) {
+  Worker& worker = *workers_[worker_index];
+  if (opts_.pin_workers && !worker.pinned) {
+    // Worker i on CPU i; a worker executes on a fixed pool thread, so
+    // pinning on the first task pins that thread for good. Best-effort
+    // by design.
     PinCurrentThreadToCpu(worker_index);
-    shard.pinned = true;
+    worker.pinned = true;
   }
   const bool is_session = task.session != nullptr;
   // Install the query's trace identity for everything this worker (and
@@ -640,14 +615,14 @@ void QueryService::Execute(Task&& task, Group& group, int local_worker) {
                                          : task.spec.kind));
     result = is_session
                  ? RunSessionBatch(*task.session, task.batch_n, cancel)
-                 : RunQuery(task.spec, shard, cancel);
+                 : RunQuery(task.spec, task.home_shard, worker, cancel);
   }
   if (is_session) {
     obs::RecordInstant(task.trace, obs::EventType::kSessionBatch,
                        static_cast<uint64_t>(task.batch_n));
   }
   result.stats.worker = worker_index;
-  result.stats.shard = static_cast<int>(group.shard);
+  result.stats.shard = static_cast<int>(task.home_shard);
   // exec_seconds excludes any stall already slept at turn barriers, so
   // subtract both shares or the queue wait would absorb the slept time.
   result.stats.queue_seconds = SecondsSince(task.enqueue_time) -
@@ -685,7 +660,7 @@ void QueryService::Execute(Task&& task, Group& group, int local_worker) {
   if (result.status.ok()) {
     metrics_.completed->Add(1, slot);
     if (is_session) metrics_.session_batches->Add(1, slot);
-    metrics_.shard_completed[group.shard]->Add(1, slot);
+    metrics_.shard_completed[task.home_shard]->Add(1, slot);
   } else {
     metrics_.failed->Add(1, slot);
     if (result.status.code() == StatusCode::kDeadlineExceeded) {
@@ -714,13 +689,14 @@ void QueryService::Execute(Task&& task, Group& group, int local_worker) {
   metrics_.queue_micros->Add(
       static_cast<uint64_t>(std::max(result.stats.queue_seconds, 0.0) * 1e6),
       slot);
-  metrics_.shard_misses[group.shard]->Add(result.stats.buffer_misses, slot);
+  metrics_.shard_misses[task.home_shard]->Add(result.stats.buffer_misses,
+                                              slot);
   // Routed fetches of whichever reader set ran the task — the worker's,
-  // its probe rig's, or a session's own — land on the executing group's
+  // its probe rig's, or a session's own — land on the request's home
   // shard, like its misses.
-  metrics_.shard_local_fetches[group.shard]->Add(result.stats.local_fetches,
-                                                 slot);
-  metrics_.shard_remote_fetches[group.shard]->Add(
+  metrics_.shard_local_fetches[task.home_shard]->Add(
+      result.stats.local_fetches, slot);
+  metrics_.shard_remote_fetches[task.home_shard]->Add(
       result.stats.remote_fetches, slot);
   if (opts_.flight_recorder != nullptr) {
     obs::QueryDigest digest;
@@ -773,7 +749,7 @@ void QueryService::Execute(Task&& task, Group& group, int local_worker) {
   task.promise.set_value(std::move(result));
   if (opts_.max_inflight > 0) {
     // Return the admission ticket last: the query is no longer in flight.
-    group.inflight->fetch_sub(1, std::memory_order_acq_rel);
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
   }
 }
 
@@ -788,12 +764,12 @@ QueryResult QueryService::RunSessionBatch(Session& session, int n,
     return result;
   }
   // One batch at a time per session; concurrent SessionNext calls on the
-  // same id serialize here (each on some worker of the home group).
+  // same id serialize here (each on whichever worker dequeued it).
   MutexLock lock(&session.mu);
   if (session.reader == nullptr) {
     // First batch: build the session's private reader set (no I/O yet —
     // pools start empty) and pin it for the stream's lifetime.
-    session.reader = MakeReader(groups_[session.group].shard);
+    session.reader = MakeReader(session.home_shard);
   }
   auto sample = [&] {
     return IoCounters{session.reader->PoolStats(),
@@ -904,7 +880,7 @@ void QueryService::ArmTurnIo(Worker& worker, bool pooled,
 }
 
 QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
-                                   Worker& worker,
+                                   shard::ShardId home, Worker& worker,
                                    const CancelToken* cancel) {
   QueryResult result;
   result.kind = spec.kind;
@@ -932,9 +908,12 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
         opts_.pool_frames_per_worker, opts_.split_pool_across_shards);
     MCN_CHECK(executor.ok());
     worker.expansion = std::move(executor).value();
-    worker.expansion->SetHomeShard(worker.home_shard);
   }
   const bool pooled = par > 1;
+  // Local/remote fetches count against the request's own tile, whichever
+  // worker runs it.
+  worker.reader->set_home_shard(home);
+  if (worker.expansion != nullptr) worker.expansion->SetHomeShard(home);
 
   if (opts_.cold_cache_per_query) {
     worker.reader->ResetIoState();
@@ -1046,15 +1025,6 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
 obs::Snapshot QueryService::MetricsSnapshot() const {
   namespace mn = metric_names;
   obs::Snapshot snap = registry_.TakeSnapshot();
-  // Group sizes per shard; shards without a group (fewer workers than
-  // shards) still get a zero row.
-  for (int s = 0; s < storage_->num_shards(); ++s) {
-    snap.AddCounter(mn::Shard(s, "workers"), 0);
-  }
-  for (const Group& group : groups_) {
-    snap.AddCounter(mn::Shard(static_cast<int>(group.shard), "workers"),
-                    static_cast<uint64_t>(group.count));
-  }
   // Disk I/O totals, merged across shard disks by the same name-keyed path
   // the per-file stats use.
   const storage::DiskManager::Stats disk_io = storage_->MergedStats();

@@ -6,15 +6,14 @@
 //     lifetime via BeginConcurrentReads,
 //   * one reader per worker — a routing shard::ShardedNetworkReader with
 //     one BufferPool per shard — never shared across threads, and
-//   * shard-affine worker *groups*: each group is its own fixed-size
-//     ThreadPool over a lock-free MPMC queue, bound to one shard. Submit
-//     routes every request to the group owning the query's location (the
-//     routing table), so a query usually expands inside the pools of its
-//     home shard; fetches that escape the tile are counted as remote.
-//     A K = 1 service has exactly one group. With
-//     ServiceOptions::pin_workers, each group's threads are pinned
-//     (best-effort, sched_setaffinity) to a contiguous CPU range — the
-//     placeholder for per-socket NUMA placement.
+//   * one work queue: a fixed-size ThreadPool over a lock-free MPMC ring
+//     that every worker drains, whatever shard a request starts on.
+//     Admission gives each request a *home shard*, the tile owning its
+//     location under the routing table; the executing reader is bound to
+//     it, so per-shard statistics book the request on its own tile and
+//     fetches that escape the tile count as remote. With
+//     ServiceOptions::pin_workers, worker i is pinned (best-effort,
+//     sched_setaffinity) to CPU i.
 //
 // Every entry point speaks api::QuerySpec (the unified preference-query
 // API, DESIGN.md §9): Submit validates the spec on the executing worker —
@@ -30,9 +29,9 @@
 //
 // Streaming incremental sessions (DESIGN.md §9): OpenSession pins an
 // incremental spec to a session — its own LRU pool set, engine and
-// algo::IncrementalTopK iterator, created lazily on the session's
-// home-shard worker group and kept warm across batches — and SessionNext
-// pulls further NextBest batches from that same engine. The session table
+// algo::IncrementalTopK iterator, created lazily by whichever worker runs
+// its first batch and kept warm across batches — and SessionNext pulls
+// further NextBest batches from that same engine. The session table
 // is bounded (ServiceOptions::max_sessions) with lazy idle eviction.
 //
 // Workers also feed the service-level aggregation: latency percentiles
@@ -106,7 +105,7 @@ using SessionId = uint64_t;
 /// Per-query measurements taken on the executing worker.
 struct QueryStats {
   int worker = -1;
-  int shard = -1;            ///< executing group's home shard
+  int shard = -1;            ///< home shard: the tile of the location
   double queue_seconds = 0;  ///< submit -> start of execution
   double exec_seconds = 0;   ///< engine construction + query computation
   /// Modeled I/O time, charged under ServiceOptions::stall_model: misses
@@ -128,8 +127,8 @@ struct QueryStats {
   double latency_seconds = 0;
   uint64_t buffer_misses = 0;
   uint64_t buffer_accesses = 0;
-  /// Routed record fetches that stayed on the executing group's home shard
-  /// vs crossed a shard boundary (always local when K = 1).
+  /// Routed record fetches that stayed on the request's home shard vs
+  /// crossed a shard boundary (always local when K = 1).
   uint64_t local_fetches = 0;
   uint64_t remote_fetches = 0;
   /// Prune-oracle work for this query (skyline + enable_prune_index only):
@@ -164,9 +163,8 @@ struct QueryResult {
 
 struct ServiceOptions {
   int num_workers = 4;
-  /// Ring capacity of each group's work queue; Submit applies
-  /// back-pressure (blocks) when this many queries are already waiting in
-  /// the target group.
+  /// Ring capacity of the service's work queue; Submit applies
+  /// back-pressure (blocks) when this many queries are already waiting.
   size_t queue_capacity = 1024;
   /// LRU frames per worker (the paper's buffer size; see
   /// gen::BufferFrames). Every worker gets the same capacity so per-query
@@ -224,10 +222,9 @@ struct ServiceOptions {
   /// socket contributes its own DIMMs and aggregate buffer grows with K.
   /// The two agree at K = 1.
   bool split_pool_across_shards = true;
-  /// Best-effort CPU pinning of each shard group's worker threads to a
-  /// contiguous CPU range (DESIGN.md §8). A feature flag: refused
-  /// affinity syscalls (CI containers, non-Linux) are silently ignored,
-  /// so correctness and CI never depend on it.
+  /// Best-effort CPU pinning of worker i's thread to CPU i (DESIGN.md §8).
+  /// A feature flag: refused affinity syscalls (CI containers, non-Linux)
+  /// are silently ignored, so correctness and CI never depend on it.
   bool pin_workers = false;
   /// Bound on concurrently open streaming sessions (DESIGN.md §9). An
   /// OpenSession beyond the bound evicts the least-recently-used idle
@@ -237,9 +234,9 @@ struct ServiceOptions {
   /// next OpenSession). <= 0 disables idle eviction.
   double session_idle_seconds = 300.0;
   /// Admission control (DESIGN.md §10): bound on queries in flight
-  /// (queued + executing) per worker group. 0 = unbounded, with the legacy
-  /// blocking back-pressure on a full ring. > 0 = load-shedding: a Submit
-  /// that would exceed the cap — or land on a full ring — resolves
+  /// (queued + executing) in the whole service. 0 = unbounded, with the
+  /// legacy blocking back-pressure on a full ring. > 0 = load-shedding: a
+  /// Submit that would exceed the cap — or land on a full ring — resolves
   /// immediately with ResourceExhausted instead of blocking the caller,
   /// and is counted in ServiceStats::rejected.
   size_t max_inflight = 0;
@@ -266,8 +263,6 @@ class QueryService {
   /// `storage`/`files` describe a built network
   /// (shard::BuildShardedNetwork, DESIGN.md §8); `storage` must outlive the
   /// service and every shard disk is frozen read-only until shutdown.
-  /// Workers are split into min(K, num_workers) shard-affine groups and
-  /// requests are routed to the group owning their location.
   static Result<std::unique_ptr<QueryService>> Create(
       shard::ShardedStorage* storage,
       const shard::ShardedNetworkFiles& files, const ServiceOptions& options);
@@ -278,26 +273,26 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Enqueues `spec` on its affinity group; blocks when that group's
-  /// queue is full. Malformed specs resolve the future with an
-  /// InvalidArgument result (never a crash). After shutdown the returned
-  /// future is immediately ready with a FailedPrecondition result.
+  /// Enqueues `spec` on the work queue; blocks while the queue is full.
+  /// Malformed specs resolve the future with an InvalidArgument result
+  /// (never a crash). After shutdown the returned future is immediately
+  /// ready with a FailedPrecondition result.
   std::future<QueryResult> Submit(api::QuerySpec spec);
 
   /// Opens a streaming incremental session for `spec` (kind must be
   /// kIncrementalTopK; the spec's k is advisory only — batch sizes are
-  /// chosen per SessionNext call). The session is bound to the location's
-  /// home-shard group and its engine is built lazily, on the group worker
-  /// executing the first SessionNext. Fails when the spec is invalid or
+  /// chosen per SessionNext call). The session's home shard is the tile of
+  /// its location; its engine is built lazily, on whichever worker
+  /// executes the first SessionNext. Fails when the spec is invalid or
   /// the session table is full of busy sessions.
   Result<SessionId> OpenSession(api::QuerySpec spec);
 
   /// Pulls the next `n` ranked results from the session's pinned engine
-  /// (on its home-shard group). Batches on one session serialize — a
-  /// pipelined batch waits *on its executing worker* for the previous
-  /// one, so keep per-session pipelining shallow or it parks workers
-  /// (the wire server never pipelines: one request per connection is in
-  /// flight, and connections only reach their own sessions). An
+  /// (on any worker). Batches on one session serialize — a pipelined
+  /// batch waits *on its executing worker* for the previous one, so keep
+  /// per-session pipelining shallow or it parks workers (the wire server
+  /// never pipelines: one request per connection is in flight, and
+  /// connections only reach their own sessions). An
   /// unknown/evicted id resolves with NotFound. A batch shorter than `n`
   /// means the reachable component is exhausted (also flagged on the
   /// result); later batches are empty, never errors.
@@ -322,8 +317,8 @@ class QueryService {
   ServiceStats Snapshot() const;
 
   /// The full observability snapshot (DESIGN.md §11): every registry
-  /// instrument plus per-shard group sizes, disk I/O totals and liveness
-  /// gauges. This is what api::Server serves for kGetMetrics.
+  /// instrument plus disk I/O totals and liveness gauges. This is what
+  /// api::Server serves for kGetMetrics.
   obs::Snapshot MetricsSnapshot() const;
 
   /// Clears the aggregation and restarts the QPS window. Call only while
@@ -331,7 +326,6 @@ class QueryService {
   void ResetStats();
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
-  int num_groups() const { return static_cast<int>(groups_.size()); }
   /// The served network's cost dimensionality d (what specs validate
   /// against).
   int num_costs() const { return files_.num_costs; }
@@ -363,7 +357,7 @@ class QueryService {
   struct Session {
     SessionId id = 0;
     api::QuerySpec spec;
-    int group = 0;  ///< home-shard group index (routing affinity)
+    shard::ShardId home_shard = 0;  ///< tile of the location
     std::unique_ptr<shard::ShardedNetworkReader> reader MCN_GUARDED_BY(mu);
     std::unique_ptr<expand::NnEngine> engine MCN_GUARDED_BY(mu);
     std::unique_ptr<algo::IncrementalTopK> query MCN_GUARDED_BY(mu);
@@ -384,6 +378,10 @@ class QueryService {
     api::QuerySpec spec;
     std::shared_ptr<Session> session;  ///< non-null: session batch
     int batch_n = 0;
+    /// The tile owning the request's location (HomeShard), fixed at
+    /// admission: what the executing reader counts local fetches against
+    /// and the per-shard counters book the request on.
+    shard::ShardId home_shard = 0;
     std::promise<QueryResult> promise;
     std::chrono::steady_clock::time_point enqueue_time{};
     /// Absolute deadline (anchored at admission, DESIGN.md §10). A task
@@ -409,7 +407,6 @@ class QueryService {
   /// slot = worker index (DESIGN.md §11).
   struct Worker {
     std::unique_ptr<shard::ShardedNetworkReader> reader;
-    shard::ShardId home_shard = 0;
     bool pinned = false;  ///< pin attempted (worker-thread confined)
     /// Intra-query probe rig; only built when per_query_parallelism > 1.
     std::unique_ptr<ExpansionExecutor> expansion;
@@ -441,53 +438,40 @@ class QueryService {
     obs::Counter* queue_micros = nullptr;
     obs::Histogram* latency_us = nullptr;
     /// Per-shard completion, miss and routed-fetch attribution, indexed by
-    /// the executing group's home shard.
+    /// the request's home shard.
     std::vector<obs::Counter*> shard_completed;
     std::vector<obs::Counter*> shard_misses;
     std::vector<obs::Counter*> shard_local_fetches;
     std::vector<obs::Counter*> shard_remote_fetches;
   };
 
-  /// One shard-affine worker group: a slice [base, base + count) of
-  /// workers_ executing its own ThreadPool.
-  struct Group {
-    shard::ShardId shard = 0;  ///< home shard (== group index)
-    int base = 0;
-    int count = 0;
-    std::unique_ptr<ThreadPool<Task>> pool;
-    /// Queries admitted and not yet finished (max_inflight > 0 only).
-    /// Boxed so Group stays movable for groups_.resize().
-    std::unique_ptr<std::atomic<int64_t>> inflight;
-  };
-
   QueryService(shard::ShardedStorage* storage,
                const shard::ShardedNetworkFiles& files,
                const ServiceOptions& options);
 
-  void StartGroups();
   /// Builds one reader over the service's storage with the per-worker
   /// pool budget, bound to `home` — the single construction path for
   /// worker and session readers.
   std::unique_ptr<shard::ShardedNetworkReader> MakeReader(
       shard::ShardId home) const;
-  /// The group index owning `location` under the routing table.
-  int RouteGroupIndex(const graph::Location& location) const;
+  /// The shard owning `location` under the routing table.
+  shard::ShardId HomeShard(const graph::Location& location) const;
 
-  /// Enqueues `task` on `group`, resolving the future immediately when
-  /// the service is shut down.
-  std::future<QueryResult> Enqueue(Task&& task, Group& group);
+  /// Enqueues `task` on the work queue, resolving the future immediately
+  /// when the service is shut down.
+  std::future<QueryResult> Enqueue(Task&& task);
 
   /// Settles a task's cache flight with a failure (waiters share the
   /// fate); no-op when the task carries none. Every path that resolves a
   /// flighted task without executing it must call this.
   void AbandonCacheFlight(Task& task, const Status& status);
 
-  void Execute(Task&& task, Group& group, int local_worker);
-  /// Runs the query on `worker`'s shard; fills everything but the latency
-  /// fields of the result stats. `cancel` (nullable) is checked
-  /// cooperatively by the expansion layer.
-  QueryResult RunQuery(const api::QuerySpec& spec, Worker& worker,
-                       const CancelToken* cancel);
+  void Execute(Task&& task, int worker_index);
+  /// Runs the query on `worker`'s readers, bound to `home`; fills
+  /// everything but the latency fields of the result stats. `cancel`
+  /// (nullable) is checked cooperatively by the expansion layer.
+  QueryResult RunQuery(const api::QuerySpec& spec, shard::ShardId home,
+                       Worker& worker, const CancelToken* cancel);
   /// Runs one session batch (creating the session's engine on first use).
   QueryResult RunSessionBatch(Session& session, int n,
                               const CancelToken* cancel);
@@ -511,7 +495,9 @@ class QueryService {
   shard::ShardedNetworkFiles files_;
   ServiceOptions opts_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<Group> groups_;
+  std::unique_ptr<ThreadPool<Task>> pool_;
+  /// Queries admitted and not yet finished (max_inflight > 0 only).
+  std::atomic<int64_t> inflight_{0};
   mutable Mutex sessions_mu_;
   std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_
       MCN_GUARDED_BY(sessions_mu_);

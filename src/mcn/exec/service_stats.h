@@ -30,13 +30,13 @@ inline double PercentileSorted(const std::vector<double>& sorted, double p) {
   return sorted[rank];
 }
 
-/// One shard's slice of the service aggregation (DESIGN.md §8):
-/// what the shard's worker group completed and how often its fetches
-/// stayed on the home shard vs crossed a boundary.
+/// One shard's slice of the service aggregation (DESIGN.md §8): the
+/// requests homed on this shard (their location lies in its tile), what
+/// completed and how often their fetches stayed on the tile vs crossed a
+/// boundary.
 struct ShardServiceStats {
   int shard = -1;
-  int workers = 0;           ///< workers bound to this shard's group
-  uint64_t completed = 0;    ///< queries the group finished OK
+  uint64_t completed = 0;    ///< requests homed here that finished OK
   uint64_t buffer_misses = 0;
   uint64_t local_fetches = 0;   ///< record fetches served by the home shard
   uint64_t remote_fetches = 0;  ///< record fetches routed across shards
@@ -187,8 +187,6 @@ inline ServiceStats ServiceStatsFromSnapshot(const obs::Snapshot& snap) {
   for (int s = 0; s < num_shards; ++s) {
     ShardServiceStats row;
     row.shard = s;
-    row.workers =
-        static_cast<int>(snap.CounterValue(mn::Shard(s, "workers")));
     row.completed = snap.CounterValue(mn::Shard(s, "completed"));
     row.buffer_misses = snap.CounterValue(mn::Shard(s, "buffer_misses"));
     row.local_fetches = snap.CounterValue(mn::Shard(s, "local_fetches"));

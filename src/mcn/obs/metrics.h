@@ -216,7 +216,7 @@ struct Snapshot {
   double GaugeValue(const std::string& name, double fallback = 0) const;
   const HistogramSnapshot* FindHistogram(const std::string& name) const;
 
-  /// Convenience mutators for derived rows (e.g. the per-shard group sizes
+  /// Convenience mutators for derived rows (e.g. the disk I/O totals
   /// appended by QueryService::MetricsSnapshot). AddCounter sums into an
   /// existing same-named row.
   void AddCounter(const std::string& name, uint64_t value);

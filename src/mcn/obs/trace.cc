@@ -111,7 +111,7 @@ void AppendArgs(std::string* out, const TraceEvent& e) {
       a0 = "kind";
       break;
     case EventType::kAdmission:
-      a0 = "group";
+      a0 = "shard";
       break;
     case EventType::kQueueWait:
       a0 = "worker";

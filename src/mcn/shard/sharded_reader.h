@@ -9,8 +9,8 @@
 //   GetFacilities(edge,...) -> shard of edge.u     (edge ownership rule)
 //   LocateFacilityEdge(f)   -> shard of f's edge   (FacilityId table)
 //
-// Affinity accounting: the reader carries a *home shard* (the shard the
-// owning worker is bound to, or the shard of the query's location). Every
+// Affinity accounting: the reader carries a *home shard* (the shard of
+// the query's location, rebound per request by the service). Every
 // routed fetch increments either the local or the remote counter — the
 // §2 I/O accounting's measure of how often an expansion escapes its tile.
 // The counters follow the base contract like everything else (one reader

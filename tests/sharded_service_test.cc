@@ -1,7 +1,8 @@
-// exec::QueryService across shard counts (DESIGN.md §8): shard-affine
-// worker groups over a shard::ShardedStorage, affinity-routed Submit,
-// per-shard service statistics (one-shot queries and session batches
-// alike), an over-asking session draining a whole component, and the
+// exec::QueryService across shard counts (DESIGN.md §8): one work queue
+// over a shard::ShardedStorage, per-shard service statistics booked on
+// each request's home tile (one-shot queries and session batches alike)
+// whatever the worker count, a one-tile burst spreading over several
+// workers, an over-asking session draining a whole component, and the
 // determinism contract — result hashes are byte-identical
 // to a single-worker K = 1 service for every K in {1, 2, 4}, every worker
 // count, and every intra-query parallelism level. Runs under TSan in CI
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <future>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -64,7 +66,8 @@ std::vector<api::QuerySpec> MixedWorkload(
 struct RunOutcome {
   std::vector<uint64_t> hashes;
   std::vector<uint64_t> misses;
-  std::vector<int> shards;  ///< executing group's home shard per query
+  std::vector<int> shards;   ///< home shard per query
+  std::vector<int> workers;  ///< executing worker per query
   ServiceStats stats;
 };
 
@@ -82,6 +85,7 @@ RunOutcome RunThrough(QueryService& service,
     outcome.hashes.push_back(result.result_hash);
     outcome.misses.push_back(result.stats.buffer_misses);
     outcome.shards.push_back(result.stats.shard);
+    outcome.workers.push_back(result.stats.worker);
   }
   outcome.stats = service.Snapshot();
   return outcome;
@@ -133,7 +137,6 @@ TEST_F(ShardedServiceTest, DeterministicAcrossShardAndWorkerCounts) {
         auto service = QueryService::Create(&instance->storage,
                                             instance->files, opts)
                            .value();
-        EXPECT_EQ(service->num_groups(), std::min(k, workers));
         RunOutcome outcome = RunThrough(*service, requests);
         service->Shutdown();
 
@@ -154,49 +157,102 @@ TEST_F(ShardedServiceTest, DeterministicAcrossShardAndWorkerCounts) {
   }
 }
 
-TEST_F(ShardedServiceTest, AffinityRoutingAndPerShardStats) {
+shard::ShardId TileOf(const shard::Partition& part,
+                      const graph::Location& loc) {
+  return loc.is_node() ? part.of_node(loc.node()) : part.of_edge(loc.edge());
+}
+
+// Every request is booked on the tile of its location, whichever worker
+// runs it — also with fewer workers than shards.
+TEST_F(ShardedServiceTest, PerShardStatsFollowTheQueryTile) {
   const gen::ExperimentConfig config = SmallServiceConfig(seed_);
   const int k = 4;
   auto instance = gen::BuildShardedInstance(config, k).value();
   const auto requests =
       MixedWorkload(*instance, test::DeriveSeed(seed_, 2), 32);
-
-  ServiceOptions opts;
-  opts.num_workers = 4;  // one worker per shard group
-  opts.pool_frames_per_worker = instance->pool_frames;
-  opts.per_query_parallelism = 2;
-  auto service =
-      QueryService::Create(&instance->storage, instance->files, opts)
-          .value();
-  ASSERT_EQ(service->num_groups(), k);
-  RunOutcome outcome = RunThrough(*service, requests);
-  service->Shutdown();
-
-  // Every query executed on the group owning its location.
   const shard::Partition& part = instance->storage.partition();
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const graph::Location& loc = requests[i].location;
-    const shard::ShardId owner = loc.is_node() ? part.of_node(loc.node())
-                                               : part.of_edge(loc.edge());
-    EXPECT_EQ(outcome.shards[i], static_cast<int>(owner)) << "query " << i;
+  std::vector<uint64_t> homed(k, 0);
+  for (const api::QuerySpec& request : requests) {
+    ++homed[TileOf(part, request.location)];
   }
 
-  // Per-shard rows: one worker each, completions sum to the total, and
-  // expansions escaping their tile show up as remote fetches.
-  ASSERT_EQ(outcome.stats.per_shard.size(), static_cast<size_t>(k));
-  uint64_t completed = 0, local = 0, remote = 0;
-  for (const auto& row : outcome.stats.per_shard) {
-    EXPECT_EQ(row.workers, 1);
-    completed += row.completed;
-    local += row.local_fetches;
-    remote += row.remote_fetches;
-    EXPECT_GE(row.RemoteRatio(), 0.0);
-    EXPECT_LE(row.RemoteRatio(), 1.0);
+  for (int workers : {4, 2}) {
+    ServiceOptions opts;
+    opts.num_workers = workers;
+    opts.pool_frames_per_worker = instance->pool_frames;
+    opts.per_query_parallelism = 2;
+    auto service =
+        QueryService::Create(&instance->storage, instance->files, opts)
+            .value();
+    RunOutcome outcome = RunThrough(*service, requests);
+    service->Shutdown();
+
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(outcome.shards[i],
+                static_cast<int>(TileOf(part, requests[i].location)))
+          << "workers=" << workers << " query " << i;
+    }
+
+    // Per-shard rows: completions match the requests homed on each tile,
+    // and expansions escaping their tile show up as remote fetches.
+    ASSERT_EQ(outcome.stats.per_shard.size(), static_cast<size_t>(k));
+    uint64_t completed = 0, local = 0, remote = 0;
+    for (const auto& row : outcome.stats.per_shard) {
+      EXPECT_EQ(row.completed, homed[row.shard])
+          << "workers=" << workers << " shard " << row.shard;
+      completed += row.completed;
+      local += row.local_fetches;
+      remote += row.remote_fetches;
+      EXPECT_GE(row.RemoteRatio(), 0.0);
+      EXPECT_LE(row.RemoteRatio(), 1.0);
+    }
+    EXPECT_EQ(completed, outcome.stats.completed);
+    EXPECT_EQ(completed, requests.size());
+    EXPECT_GT(local, 0u);
+    EXPECT_GT(remote, 0u) << "d-expansions over 4 tiles must cross a cut";
   }
-  EXPECT_EQ(completed, outcome.stats.completed);
-  EXPECT_EQ(completed, requests.size());
-  EXPECT_GT(local, 0u);
-  EXPECT_GT(remote, 0u) << "d-expansions over 4 tiles must cross a cut";
+}
+
+// Requests that all start in one tile are not queued behind one worker:
+// with their I/O stalls slept, a burst of them overlaps on several
+// workers, and their results match a single-worker run.
+TEST_F(ShardedServiceTest, OneTileBurstUsesSeveralWorkers) {
+  const gen::ExperimentConfig config = SmallServiceConfig(seed_);
+  auto instance = gen::BuildShardedInstance(config, 4).value();
+  const shard::Partition& part = instance->storage.partition();
+  const int d = instance->graph.num_costs();
+  Random rng(test::DeriveSeed(seed_, 8));
+  std::vector<api::QuerySpec> requests;
+  while (requests.size() < 16) {
+    const graph::Location loc = instance->RandomQueryLocation(rng);
+    if (TileOf(part, loc) != 0) continue;
+    const uint64_t weight_seed = test::DeriveSeed(seed_, 9 + requests.size());
+    requests.push_back(requests.size() % 2 == 0
+                           ? api::SkylineSpec(loc)
+                           : api::TopKSpec(loc, 4, test::TestWeights(
+                                                       d, weight_seed)));
+  }
+
+  auto run = [&](int workers) {
+    ServiceOptions opts;
+    opts.num_workers = workers;
+    opts.pool_frames_per_worker = instance->pool_frames;
+    opts.simulate_io_stalls = true;
+    opts.io_latency_ms = 0.05;
+    auto service =
+        QueryService::Create(&instance->storage, instance->files, opts)
+            .value();
+    RunOutcome outcome = RunThrough(*service, requests);
+    service->Shutdown();
+    return outcome;
+  };
+  const RunOutcome reference = run(1);
+  const RunOutcome burst = run(4);
+  EXPECT_EQ(burst.hashes, reference.hashes);
+  const std::set<int> workers(burst.workers.begin(), burst.workers.end());
+  EXPECT_GE(workers.size(), 2u)
+      << "16 queries in tile 0 ran on one worker of four";
+  for (int shard : burst.shards) EXPECT_EQ(shard, 0);
 }
 
 uint64_t RoutedFetches(const ServiceStats& stats) {
@@ -226,8 +282,7 @@ TEST_F(ShardedServiceTest, SessionBatchesCountRoutedFetches) {
   int batches_with_io = 0;
   for (int s = 0; s < 8; ++s) {
     const graph::Location loc = instance->RandomQueryLocation(rng);
-    const shard::ShardId home = loc.is_node() ? part.of_node(loc.node())
-                                              : part.of_edge(loc.edge());
+    const shard::ShardId home = TileOf(part, loc);
     const SessionId id =
         service
             ->OpenSession(api::IncrementalSpec(
@@ -285,7 +340,7 @@ TEST_F(ShardedServiceTest, SingleShardHasNoRemoteFetches) {
   EXPECT_GT(outcome.stats.per_shard[0].local_fetches, 0u);
 }
 
-TEST_F(ShardedServiceTest, DrainAndShutdownAcrossGroups) {
+TEST_F(ShardedServiceTest, DrainAndShutdownAcrossShards) {
   const gen::ExperimentConfig config = SmallServiceConfig(seed_);
   auto instance = gen::BuildShardedInstance(config, 2).value();
   ServiceOptions opts;
