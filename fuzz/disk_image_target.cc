@@ -4,6 +4,8 @@
 #include <string_view>
 #include <vector>
 
+#include "mcn/graph/cost_vector.h"
+#include "mcn/net/format.h"
 #include "mcn/net/landmark_index.h"
 #include "mcn/shard/sharded_builder.h"
 #include "mcn/storage/disk_manager.h"
@@ -49,17 +51,56 @@ void ProbeAsLandmarkIndex(storage::DiskManager* disk, storage::FileId f) {
   (void)index.LoadNodeRow(0, row.data());
 }
 
+/// Reads every page of file `f` as a slotted page and runs both record
+/// decoders over each record it yields, the adjacency decoder at every
+/// cost dimension. Pages that are not slotted yield garbage records, which
+/// is the point. A decode must fail with its output empty, or succeed
+/// with every entry inside the record. False = a decoder broke that.
+bool DecodeSlottedRecords(const storage::DiskManager& disk,
+                          storage::FileId f) {
+  auto pages = disk.NumPages(f);
+  if (!pages.ok()) return true;
+  std::vector<net::AdjEntry> entries;
+  std::vector<net::FacilityOnEdge> facilities;
+  for (storage::PageNo p = 0; p < *pages; ++p) {
+    auto page = disk.PageData(storage::PageId{f, p});
+    if (!page.ok()) continue;
+    storage::SlottedPageReader reader(*page);
+    for (uint16_t slot = 0; slot < reader.count(); ++slot) {
+      auto rec = reader.TryRecord(slot);
+      if (!rec.ok()) continue;
+      for (int d = 1; d <= graph::kMaxCostTypes; ++d) {
+        const bool ok = net::DecodeAdjRecord(*rec, d, &entries).ok();
+        if (ok ? net::AdjRecordBytes(static_cast<uint32_t>(entries.size()),
+                                     d) > rec->size()
+               : !entries.empty()) {
+          return false;
+        }
+      }
+      const bool ok = net::DecodeFacRecord(*rec, &facilities).ok();
+      if (ok ? net::FacRecordBytes(static_cast<uint32_t>(
+                   facilities.size())) > rec->size()
+             : !facilities.empty()) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 bool RunDiskImageTarget(const uint8_t* data, size_t size) {
   const std::string_view bytes(reinterpret_cast<const char*>(data), size);
   auto disk = storage::LoadDiskImageFromBuffer(bytes);
   if (!disk.ok()) return true;
+  bool held = true;
   for (storage::FileId f = 0; f < disk->num_files(); ++f) {
     (void)shard::ReadRoutingTable(*disk, f);
     ProbeAsLandmarkIndex(&*disk, f);
+    held = DecodeSlottedRecords(*disk, f) && held;
   }
-  return true;
+  return held;
 }
 
 bool DiskImageParses(const uint8_t* data, size_t size) {

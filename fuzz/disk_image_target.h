@@ -6,9 +6,11 @@
 // storage::LoadDiskImageFromBuffer. When the image parses, every file in
 // it is additionally probed as a routing table (shard::ReadRoutingTable)
 // and as an MLI1 landmark index (net::LandmarkIndexReader::Validate plus
-// one LoadNodeRow), so the nested header parsers see the fuzzer's bytes
-// too. All three layers must reject malformed input with a Status —
-// never a crash, CHECK failure, or out-of-bounds access.
+// one LoadNodeRow), and every record of every page read as a slotted page
+// goes through the adjacency and facility record decoders (net/format.h),
+// so the nested parsers see the fuzzer's bytes too. All of them must
+// reject malformed input with a Status — never a crash, CHECK failure, or
+// out-of-bounds access.
 #ifndef MCN_FUZZ_DISK_IMAGE_TARGET_H_
 #define MCN_FUZZ_DISK_IMAGE_TARGET_H_
 

@@ -16,10 +16,12 @@
 
 #include "mcn/api/wire.h"
 #include "mcn/common/macros.h"
+#include "mcn/graph/facility.h"
 #include "mcn/graph/multi_cost_graph.h"
 #include "mcn/net/landmark_index.h"
 #include "mcn/shard/partition.h"
 #include "mcn/shard/sharded_builder.h"
+#include "mcn/shard/sharded_storage.h"
 #include "mcn/storage/disk_manager.h"
 #include "mcn/storage/persistence.h"
 #include "mcn/storage/slotted_page.h"
@@ -181,6 +183,20 @@ void WriteDiskSeeds(const std::filesystem::path& dir) {
         shard::WriteRoutingTable(&disk, partition, {0, 1, 1});
     MCN_CHECK(routing.ok());
     MCN_CHECK(storage::SaveDiskImage(disk, dir / "image_indexed").ok());
+  }
+  {
+    // A whole K = 1 network (adjacency and facility files and both trees):
+    // real records for the record decoders.
+    const graph::MultiCostGraph g = SeedGraph();
+    graph::FacilitySet facilities;
+    facilities.Add(0, 0.25);
+    facilities.Add(0, 0.75);
+    facilities.Add(3, 0.5);
+    facilities.Finalize();
+    shard::ShardedStorage storage(shard::SingleShardPartition(g.num_nodes()));
+    MCN_CHECK(shard::BuildShardedNetwork(&storage, g, facilities).ok());
+    MCN_CHECK(
+        storage::SaveDiskImage(*storage.disk(0), dir / "image_network").ok());
   }
   {
     // Regression seeds for the findings the fuzz-target audit surfaced:

@@ -465,6 +465,9 @@ Result<SessionId> QueryService::OpenSession(api::QuerySpec spec) {
   session->home_shard = HomeShard(spec.location);
   session->spec = std::move(spec);
   session->last_used = std::chrono::steady_clock::now();
+  // Declared before the lock, so evicted sessions are destroyed after it
+  // is released.
+  std::vector<std::shared_ptr<Session>> evicted;
   MutexLock lock(&sessions_mu_);
   if (shut_down_) {
     return Status::FailedPrecondition("QueryService is shut down");
@@ -472,8 +475,8 @@ Result<SessionId> QueryService::OpenSession(api::QuerySpec spec) {
   // Lazy idle-timeout eviction runs on *every* open (not only when the
   // table is full), so abandoned sessions release their pools/engines
   // even on a service that never approaches max_sessions.
-  EvictExpiredSessions();
-  if (sessions_.size() >= opts_.max_sessions && !MakeSessionRoom()) {
+  EvictExpiredSessions(&evicted);
+  if (sessions_.size() >= opts_.max_sessions && !MakeSessionRoom(&evicted)) {
     return Status::FailedPrecondition(
         "OpenSession: session table full (" +
         std::to_string(opts_.max_sessions) + " busy sessions)");
@@ -483,7 +486,8 @@ Result<SessionId> QueryService::OpenSession(api::QuerySpec spec) {
   return session->id;
 }
 
-void QueryService::EvictExpiredSessions() {
+void QueryService::EvictExpiredSessions(
+    std::vector<std::shared_ptr<Session>>* evicted) {
   if (opts_.session_idle_seconds <= 0) return;
   const auto now = std::chrono::steady_clock::now();
   for (auto it = sessions_.begin(); it != sessions_.end();) {
@@ -491,6 +495,7 @@ void QueryService::EvictExpiredSessions() {
     const bool idle = s.inflight.load(std::memory_order_acquire) == 0;
     if (idle && std::chrono::duration<double>(now - s.last_used).count() >
                     opts_.session_idle_seconds) {
+      evicted->push_back(std::move(it->second));
       it = sessions_.erase(it);
     } else {
       ++it;
@@ -498,7 +503,8 @@ void QueryService::EvictExpiredSessions() {
   }
 }
 
-bool QueryService::MakeSessionRoom() {
+bool QueryService::MakeSessionRoom(
+    std::vector<std::shared_ptr<Session>>* evicted) {
   // Evict the least-recently-used idle session.
   auto victim = sessions_.end();
   for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
@@ -509,6 +515,7 @@ bool QueryService::MakeSessionRoom() {
     }
   }
   if (victim == sessions_.end()) return false;
+  evicted->push_back(std::move(victim->second));
   sessions_.erase(victim);
   return true;
 }
@@ -545,6 +552,8 @@ std::future<QueryResult> QueryService::SessionNext(SessionId id, int n) {
 }
 
 Status QueryService::CloseSession(SessionId id) {
+  // Destroyed after the lock is released (declared before it).
+  std::shared_ptr<Session> closed;
   MutexLock lock(&sessions_mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
@@ -552,6 +561,7 @@ Status QueryService::CloseSession(SessionId id) {
                             std::to_string(id));
   }
   // An in-flight batch holds its own shared_ptr and finishes normally.
+  closed = std::move(it->second);
   sessions_.erase(it);
   return Status::OK();
 }

@@ -484,12 +484,16 @@ class QueryService {
                  expand::ParallelProbeScheduler* scheduler,
                  std::vector<storage::BufferPool*>* recording);
 
-  /// Drops idle sessions past the idle timeout (runs on every
-  /// OpenSession).
-  void EvictExpiredSessions() MCN_REQUIRES(sessions_mu_);
-  /// Drops the LRU idle session to make room in a full table. False =
-  /// every session is busy.
-  bool MakeSessionRoom() MCN_REQUIRES(sessions_mu_);
+  /// Removes idle sessions past the idle timeout from the table (runs on
+  /// every OpenSession). The removed sessions are moved into `evicted`, so
+  /// the caller destroys them after releasing sessions_mu_: a session's
+  /// engine, cache and pools must not be torn down under the lock.
+  void EvictExpiredSessions(std::vector<std::shared_ptr<Session>>* evicted)
+      MCN_REQUIRES(sessions_mu_);
+  /// Removes the LRU idle session to make room in a full table, moving it
+  /// into `evicted` as above. False = every session is busy.
+  bool MakeSessionRoom(std::vector<std::shared_ptr<Session>>* evicted)
+      MCN_REQUIRES(sessions_mu_);
 
   shard::ShardedStorage* storage_;
   shard::ShardedNetworkFiles files_;

@@ -8,7 +8,7 @@ namespace mcn::expand {
 namespace internal {
 
 Result<FetchProvider::SeedInfo> SeedFromEntries(
-    FetchProvider* self, const std::vector<net::AdjEntry>& entries,
+    FetchProvider* self, std::span<const net::AdjEntry> entries,
     graph::EdgeKey key) {
   // `entries` is the adjacency record of key.u; look for the key.v entry.
   for (const net::AdjEntry& e : entries) {
@@ -16,8 +16,8 @@ Result<FetchProvider::SeedInfo> SeedFromEntries(
     FetchProvider::SeedInfo info;
     info.edge_costs = e.w;
     if (!e.fac.empty()) {
-      MCN_ASSIGN_OR_RETURN(const auto* facs, self->GetFacilities(key, e.fac));
-      info.facilities = *facs;
+      MCN_ASSIGN_OR_RETURN(auto facs, self->GetFacilities(key, e.fac));
+      info.facilities.assign(facs.begin(), facs.end());
     }
     return info;
   }
@@ -33,27 +33,27 @@ DirectFetch::DirectFetch(const net::NetworkReader* reader) : reader_(reader) {
   MCN_CHECK(reader != nullptr);
 }
 
-Result<const std::vector<net::AdjEntry>*> DirectFetch::GetAdjacency(
+Result<std::span<const net::AdjEntry>> DirectFetch::GetAdjacency(
     graph::NodeId node) {
   ++stats_.adjacency_requests;
   ++stats_.adjacency_fetches;
   MCN_RETURN_IF_ERROR(reader_->GetAdjacency(node, &adj_scratch_));
-  return &adj_scratch_;
+  return std::span<const net::AdjEntry>(adj_scratch_);
 }
 
-Result<const std::vector<net::FacilityOnEdge>*> DirectFetch::GetFacilities(
+Result<std::span<const net::FacilityOnEdge>> DirectFetch::GetFacilities(
     graph::EdgeKey edge, const net::FacRef& ref) {
   ++stats_.facility_requests;
   ++stats_.facility_fetches;
   MCN_RETURN_IF_ERROR(reader_->GetFacilities(edge, ref, &fac_scratch_));
-  return &fac_scratch_;
+  return std::span<const net::FacilityOnEdge>(fac_scratch_);
 }
 
 Result<FetchProvider::SeedInfo> DirectFetch::GetSeedInfo(
     const graph::Location& q) {
   if (q.is_node()) return SeedInfo{};
-  MCN_ASSIGN_OR_RETURN(const auto* entries, GetAdjacency(q.edge().u));
-  return SeedFromEntries(this, *entries, q.edge());
+  MCN_ASSIGN_OR_RETURN(auto entries, GetAdjacency(q.edge().u));
+  return SeedFromEntries(this, entries, q.edge());
 }
 
 CachedFetch::CachedFetch(const net::NetworkReader* reader)
@@ -63,42 +63,56 @@ CachedFetch::CachedFetch(const net::NetworkReader* reader)
   MCN_CHECK(reader != nullptr);
 }
 
-Result<const std::vector<net::AdjEntry>*> CachedFetch::GetAdjacency(
+namespace {
+
+template <typename T, typename Row>
+std::span<const T> RowSpan(const std::vector<T>& arena, const Row& row) {
+  return {arena.data() + row.offset, row.count};
+}
+
+/// Appends `scratch` to `arena` as a new row of `rows`; returns its span.
+template <typename T, typename Row>
+std::span<const T> AppendRow(const std::vector<T>& scratch,
+                             std::vector<T>* arena, std::vector<Row>* rows) {
+  const Row row{static_cast<uint32_t>(arena->size()),
+                static_cast<uint32_t>(scratch.size())};
+  arena->insert(arena->end(), scratch.begin(), scratch.end());
+  rows->push_back(row);
+  return RowSpan(*arena, row);
+}
+
+}  // namespace
+
+Result<std::span<const net::AdjEntry>> CachedFetch::GetAdjacency(
     graph::NodeId node) {
   ++stats_.adjacency_requests;
   if (node >= adj_row_of_.size()) {
     return Status::InvalidArgument("CachedFetch: node out of range");
   }
-  uint32_t row = adj_row_of_[node];
-  if (row != FlatU64Map::kNoValue) return &adj_rows_[row];
+  const uint32_t row = adj_row_of_[node];
+  if (row != FlatU64Map::kNoValue) return RowSpan(adj_arena_, adj_rows_[row]);
   ++stats_.adjacency_fetches;
-  std::vector<net::AdjEntry> entries;
-  MCN_RETURN_IF_ERROR(reader_->GetAdjacency(node, &entries));
-  row = static_cast<uint32_t>(adj_rows_.size());
-  adj_rows_.push_back(std::move(entries));
-  adj_row_of_[node] = row;
-  return &adj_rows_[row];
+  MCN_RETURN_IF_ERROR(reader_->GetAdjacency(node, &adj_scratch_));
+  adj_row_of_[node] = static_cast<uint32_t>(adj_rows_.size());
+  return AppendRow(adj_scratch_, &adj_arena_, &adj_rows_);
 }
 
-Result<const std::vector<net::FacilityOnEdge>*> CachedFetch::GetFacilities(
+Result<std::span<const net::FacilityOnEdge>> CachedFetch::GetFacilities(
     graph::EdgeKey edge, const net::FacRef& ref) {
   ++stats_.facility_requests;
-  uint32_t row = fac_row_of_.Find(edge.Pack());
-  if (row != FlatU64Map::kNoValue) return &fac_rows_[row];
+  const uint32_t row = fac_row_of_.Find(edge.Pack());
+  if (row != FlatU64Map::kNoValue) return RowSpan(fac_arena_, fac_rows_[row]);
   ++stats_.facility_fetches;
-  std::vector<net::FacilityOnEdge> facs;
-  MCN_RETURN_IF_ERROR(reader_->GetFacilities(edge, ref, &facs));
-  row = static_cast<uint32_t>(fac_rows_.size());
-  fac_rows_.push_back(std::move(facs));
-  fac_row_of_.Insert(edge.Pack(), row);
-  return &fac_rows_[row];
+  MCN_RETURN_IF_ERROR(reader_->GetFacilities(edge, ref, &fac_scratch_));
+  fac_row_of_.Insert(edge.Pack(), static_cast<uint32_t>(fac_rows_.size()));
+  return AppendRow(fac_scratch_, &fac_arena_, &fac_rows_);
 }
 
 Result<FetchProvider::SeedInfo> CachedFetch::GetSeedInfo(
     const graph::Location& q) {
   if (q.is_node()) return SeedInfo{};
-  MCN_ASSIGN_OR_RETURN(const auto* entries, GetAdjacency(q.edge().u));
-  return SeedFromEntries(this, *entries, q.edge());
+  MCN_ASSIGN_OR_RETURN(auto entries, GetAdjacency(q.edge().u));
+  return SeedFromEntries(this, entries, q.edge());
 }
 
 MemFetch::MemFetch(const graph::MultiCostGraph* graph,
@@ -108,7 +122,7 @@ MemFetch::MemFetch(const graph::MultiCostGraph* graph,
   MCN_CHECK(graph->finalized() && facilities->finalized());
 }
 
-Result<const std::vector<net::AdjEntry>*> MemFetch::GetAdjacency(
+Result<std::span<const net::AdjEntry>> MemFetch::GetAdjacency(
     graph::NodeId node) {
   ++stats_.adjacency_requests;
   if (node >= graph_->num_nodes()) {
@@ -125,10 +139,10 @@ Result<const std::vector<net::AdjEntry>*> MemFetch::GetAdjacency(
         static_cast<uint16_t>(facilities_->OnEdge(adj.edge).size());
     adj_scratch_.push_back(e);
   }
-  return &adj_scratch_;
+  return std::span<const net::AdjEntry>(adj_scratch_);
 }
 
-Result<const std::vector<net::FacilityOnEdge>*> MemFetch::GetFacilities(
+Result<std::span<const net::FacilityOnEdge>> MemFetch::GetFacilities(
     graph::EdgeKey edge, const net::FacRef& ref) {
   (void)ref;
   ++stats_.facility_requests;
@@ -137,7 +151,7 @@ Result<const std::vector<net::FacilityOnEdge>*> MemFetch::GetFacilities(
   for (graph::FacilityId f : facilities_->OnEdge(eid)) {
     fac_scratch_.push_back(net::FacilityOnEdge{f, (*facilities_)[f].frac});
   }
-  return &fac_scratch_;
+  return std::span<const net::FacilityOnEdge>(fac_scratch_);
 }
 
 Result<FetchProvider::SeedInfo> MemFetch::GetSeedInfo(

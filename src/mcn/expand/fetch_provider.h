@@ -7,14 +7,16 @@
 //  * CachedFetch  — a query-lifetime shared cache in front of the reader:
 //                   each adjacency record and each facility record is
 //                   fetched at most once per query. This realizes CEA's
-//                   information sharing (paper §IV-B; DESIGN.md §3).
+//                   information sharing (paper §IV-B; DESIGN.md §3). Its
+//                   rows live in two flat per-query arenas, so a fetch
+//                   allocates only when an arena grows (DESIGN.md §4).
 //  * MemFetch     — serves everything from the in-memory graph; zero I/O.
 #ifndef MCN_EXPAND_FETCH_PROVIDER_H_
 #define MCN_EXPAND_FETCH_PROVIDER_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mcn/common/flat_u64_map.h"
@@ -46,14 +48,14 @@ class FetchProvider {
   virtual uint32_t num_nodes() const = 0;
   virtual uint32_t num_facilities() const = 0;
 
-  /// Adjacency entries of `node`. The returned pointer stays valid until the
+  /// Adjacency entries of `node`. The returned span stays valid until the
   /// next GetAdjacency call on this provider.
-  virtual Result<const std::vector<net::AdjEntry>*> GetAdjacency(
+  virtual Result<std::span<const net::AdjEntry>> GetAdjacency(
       graph::NodeId node) = 0;
 
   /// Facility list of `edge` (whose adjacency entry carried `ref`). The
-  /// returned pointer stays valid until the next GetFacilities call.
-  virtual Result<const std::vector<net::FacilityOnEdge>*> GetFacilities(
+  /// returned span stays valid until the next GetFacilities call.
+  virtual Result<std::span<const net::FacilityOnEdge>> GetFacilities(
       graph::EdgeKey edge, const net::FacRef& ref) = 0;
 
   /// Data needed to seed expansions at `q`: the edge's cost vector and its
@@ -78,7 +80,7 @@ namespace internal {
 /// Shared GetSeedInfo logic: find `key`'s entry among the adjacency record
 /// of key.u, then load its facilities through `self`.
 Result<FetchProvider::SeedInfo> SeedFromEntries(
-    FetchProvider* self, const std::vector<net::AdjEntry>& entries,
+    FetchProvider* self, std::span<const net::AdjEntry> entries,
     graph::EdgeKey key);
 }  // namespace internal
 
@@ -93,9 +95,9 @@ class DirectFetch : public FetchProvider {
     return reader_->num_facilities();
   }
 
-  Result<const std::vector<net::AdjEntry>*> GetAdjacency(
+  Result<std::span<const net::AdjEntry>> GetAdjacency(
       graph::NodeId node) override;
-  Result<const std::vector<net::FacilityOnEdge>*> GetFacilities(
+  Result<std::span<const net::FacilityOnEdge>> GetFacilities(
       graph::EdgeKey edge, const net::FacRef& ref) override;
   Result<SeedInfo> GetSeedInfo(const graph::Location& q) override;
 
@@ -110,7 +112,7 @@ class DirectFetch : public FetchProvider {
 /// a NodeId-indexed flat directory (one u32 per node) and the facility
 /// cache an open-addressed packed-edge table, so the per-request lookup is
 /// an array index / one probe chain instead of an unordered_map find
-/// (DESIGN.md §4).
+/// (DESIGN.md §4). Both lead to an (offset, count) row over a flat arena.
 class CachedFetch : public FetchProvider {
  public:
   explicit CachedFetch(const net::NetworkReader* reader);
@@ -121,9 +123,9 @@ class CachedFetch : public FetchProvider {
     return reader_->num_facilities();
   }
 
-  Result<const std::vector<net::AdjEntry>*> GetAdjacency(
+  Result<std::span<const net::AdjEntry>> GetAdjacency(
       graph::NodeId node) override;
-  Result<const std::vector<net::FacilityOnEdge>*> GetFacilities(
+  Result<std::span<const net::FacilityOnEdge>> GetFacilities(
       graph::EdgeKey edge, const net::FacRef& ref) override;
   Result<SeedInfo> GetSeedInfo(const graph::Location& q) override;
 
@@ -131,14 +133,26 @@ class CachedFetch : public FetchProvider {
   size_t cached_edges() const { return fac_rows_.size(); }
 
  private:
+  /// A cached record: `count` entries from `offset` in its arena.
+  struct Row {
+    uint32_t offset = 0;
+    uint32_t count = 0;
+  };
+
   const net::NetworkReader* reader_;
-  // Row storage is a deque so cached rows keep stable addresses as the
-  // cache grows — stronger than the base contract's "valid until the next
-  // Get* call", and what a future parallel executor will want.
+  // Each record is decoded into a reused scratch row, then appended to its
+  // arena, so a fetch allocates only when a buffer grows. Growth moves the
+  // arena: a returned span lives only until the next call of its getter,
+  // as the base contract states (the two arenas are independent, so an
+  // adjacency span survives the facility fetches made while walking it).
   std::vector<uint32_t> adj_row_of_;  ///< NodeId-indexed; kNoValue = absent
-  std::deque<std::vector<net::AdjEntry>> adj_rows_;
+  std::vector<Row> adj_rows_;
+  std::vector<net::AdjEntry> adj_arena_;
+  std::vector<net::AdjEntry> adj_scratch_;
   FlatU64Map fac_row_of_;  ///< packed EdgeKey -> row in fac_rows_
-  std::deque<std::vector<net::FacilityOnEdge>> fac_rows_;
+  std::vector<Row> fac_rows_;
+  std::vector<net::FacilityOnEdge> fac_arena_;
+  std::vector<net::FacilityOnEdge> fac_scratch_;
 };
 
 /// In-memory provider over MultiCostGraph + FacilitySet (no disk at all).
@@ -153,9 +167,9 @@ class MemFetch : public FetchProvider {
     return static_cast<uint32_t>(facilities_->size());
   }
 
-  Result<const std::vector<net::AdjEntry>*> GetAdjacency(
+  Result<std::span<const net::AdjEntry>> GetAdjacency(
       graph::NodeId node) override;
-  Result<const std::vector<net::FacilityOnEdge>*> GetFacilities(
+  Result<std::span<const net::FacilityOnEdge>> GetFacilities(
       graph::EdgeKey edge, const net::FacRef& ref) override;
   Result<SeedInfo> GetSeedInfo(const graph::Location& q) override;
 

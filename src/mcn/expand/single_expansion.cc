@@ -84,8 +84,10 @@ void SingleExpansion::SeedFacility(graph::FacilityId f, double cost) {
 }
 
 Status SingleExpansion::ExpandNode(graph::NodeId v, double key) {
-  MCN_ASSIGN_OR_RETURN(const auto* entries, fetch_->GetAdjacency(v));
-  for (const net::AdjEntry& e : *entries) {
+  // The adjacency span stays valid across the facility fetches below: the
+  // providers keep the two record kinds in separate storage.
+  MCN_ASSIGN_OR_RETURN(auto entries, fetch_->GetAdjacency(v));
+  for (const net::AdjEntry& e : entries) {
     double w = e.w[cost_index_];
     PushNode(e.neighbor, key + w);
     if (e.fac.count == 0) continue;
@@ -93,8 +95,8 @@ Status SingleExpansion::ExpandNode(graph::NodeId v, double key) {
     graph::EdgeKey edge(v, e.neighbor);
     if (filter_ != nullptr && !filter_->ContainsEdge(edge)) continue;
 
-    MCN_ASSIGN_OR_RETURN(const auto* facs, fetch_->GetFacilities(edge, e.fac));
-    for (const net::FacilityOnEdge& fe : *facs) {
+    MCN_ASSIGN_OR_RETURN(auto facs, fetch_->GetFacilities(edge, e.fac));
+    for (const net::FacilityOnEdge& fe : facs) {
       if (filter_ != nullptr && !filter_->Allows(edge, fe.facility)) continue;
       // fe.frac is measured from the canonical endpoint edge.u.
       double frac_from_v = (v == edge.u) ? fe.frac : 1.0 - fe.frac;

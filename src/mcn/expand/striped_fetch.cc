@@ -57,7 +57,7 @@ size_t StripedCachedFetch::StripeTable<Row>::TotalRows() const {
 }
 
 template <typename Row, typename FetchFn>
-Result<const std::vector<Row>*> StripedCachedFetch::GetOrFetch(
+Result<std::span<const Row>> StripedCachedFetch::GetOrFetch(
     StripeTable<Row>& table, uint64_t key,
     std::atomic<uint64_t>& physical_counter, const FetchFn& fetch) {
   using Table = StripeTable<Row>;
@@ -70,9 +70,9 @@ Result<const std::vector<Row>*> StripedCachedFetch::GetOrFetch(
     uint32_t v = stripe.map.Find(key);
     if (v == FlatU64Map::kNoValue) break;  // we fetch
     if (v != Table::kInFlight) {
-      // Published rows have stable addresses (deque), so the pointer
-      // stays valid after the stripe lock is dropped.
-      const std::vector<Row>* published = &stripe.rows[v];
+      // Published rows have stable addresses (deque), so the span stays
+      // valid after the stripe lock is dropped.
+      const std::span<const Row> published(stripe.rows[v]);
       stripe.mu.Unlock();
       return published;
     }
@@ -106,12 +106,12 @@ Result<const std::vector<Row>*> StripedCachedFetch::GetOrFetch(
   stripe.rows.push_back(std::move(row));
   stripe.map.Insert(key, idx);
   stripe.cv.NotifyAll();
-  const std::vector<Row>* published = &stripe.rows[idx];
+  const std::span<const Row> published(stripe.rows[idx]);
   stripe.mu.Unlock();
   return published;
 }
 
-Result<const std::vector<net::AdjEntry>*> StripedCachedFetch::GetAdjacency(
+Result<std::span<const net::AdjEntry>> StripedCachedFetch::GetAdjacency(
     graph::NodeId node) {
   adj_requests_.fetch_add(1, std::memory_order_relaxed);
   if (node >= num_nodes()) {
@@ -124,7 +124,7 @@ Result<const std::vector<net::AdjEntry>*> StripedCachedFetch::GetAdjacency(
                     });
 }
 
-Result<const std::vector<net::FacilityOnEdge>*>
+Result<std::span<const net::FacilityOnEdge>>
 StripedCachedFetch::GetFacilities(graph::EdgeKey edge,
                                   const net::FacRef& ref) {
   fac_requests_.fetch_add(1, std::memory_order_relaxed);
@@ -138,8 +138,8 @@ StripedCachedFetch::GetFacilities(graph::EdgeKey edge,
 Result<FetchProvider::SeedInfo> StripedCachedFetch::GetSeedInfo(
     const graph::Location& q) {
   if (q.is_node()) return SeedInfo{};
-  MCN_ASSIGN_OR_RETURN(const auto* entries, GetAdjacency(q.edge().u));
-  return internal::SeedFromEntries(this, *entries, q.edge());
+  MCN_ASSIGN_OR_RETURN(auto entries, GetAdjacency(q.edge().u));
+  return internal::SeedFromEntries(this, entries, q.edge());
 }
 
 const FetchProvider::Stats& StripedCachedFetch::stats() const {

@@ -16,15 +16,18 @@
 //    NetworkReader/BufferPool are single-threaded. The executing slot is
 //    bound thread-locally by the scheduler before each probe.
 //
-// Row storage is a per-stripe deque, so published rows keep stable
-// addresses for the query's lifetime (the same guarantee CachedFetch
-// gives, which the expansions' returned-pointer contract relies on).
+// Row storage is a per-stripe deque of rows, so published rows keep
+// stable addresses for the query's lifetime. Concurrent probes need that:
+// one probe's span must survive another probe's insert into the same
+// stripe. (CachedFetch serves one thread and keeps flat arenas instead,
+// whose spans live only until the next call of the same getter.)
 #ifndef MCN_EXPAND_STRIPED_FETCH_H_
 #define MCN_EXPAND_STRIPED_FETCH_H_
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "mcn/common/flat_u64_map.h"
@@ -69,9 +72,9 @@ class StripedCachedFetch : public FetchProvider {
     return readers_[0]->num_facilities();
   }
 
-  Result<const std::vector<net::AdjEntry>*> GetAdjacency(
+  Result<std::span<const net::AdjEntry>> GetAdjacency(
       graph::NodeId node) override;
-  Result<const std::vector<net::FacilityOnEdge>*> GetFacilities(
+  Result<std::span<const net::FacilityOnEdge>> GetFacilities(
       graph::EdgeKey edge, const net::FacRef& ref) override;
   Result<SeedInfo> GetSeedInfo(const graph::Location& q) override;
 
@@ -114,7 +117,7 @@ class StripedCachedFetch : public FetchProvider {
   /// Single-flight lookup-or-fetch of `key` in `table`; `fetch` fills the
   /// row via the bound reader and is executed by exactly one thread.
   template <typename Row, typename FetchFn>
-  Result<const std::vector<Row>*> GetOrFetch(
+  Result<std::span<const Row>> GetOrFetch(
       StripeTable<Row>& table, uint64_t key,
       std::atomic<uint64_t>& physical_counter, const FetchFn& fetch);
 

@@ -1,6 +1,7 @@
 #include "mcn/net/format.h"
 
 #include <cstring>
+#include <string>
 
 #include "mcn/common/macros.h"
 
@@ -14,10 +15,11 @@ void Append(std::vector<std::byte>& out, T v) {
   std::memcpy(out.data() + at, &v, sizeof(T));
 }
 
+/// Unchecked load: the decoders validate the record's length against its
+/// header before reading any entry.
 template <typename T>
 T Read(std::span<const std::byte> bytes, size_t at) {
   T v;
-  MCN_CHECK(at + sizeof(T) <= bytes.size());
   std::memcpy(&v, bytes.data() + at, sizeof(T));
   return v;
 }
@@ -38,22 +40,33 @@ std::vector<std::byte> EncodeAdjRecord(graph::NodeId node,
     Append<uint32_t>(out, e.fac.page);
     Append<uint16_t>(out, e.fac.slot);
     Append<uint16_t>(out, e.fac.count);
+    // Encoder-side programmer error, not untrusted input.
+    // mcn-lint: disable-next-line=check-in-decode
     MCN_DCHECK(e.w.dim() == num_costs);
     for (int i = 0; i < num_costs; ++i) Append<double>(out, e.w[i]);
   }
   return out;
 }
 
-graph::NodeId DecodeAdjRecord(std::span<const std::byte> bytes, int num_costs,
-                              std::vector<AdjEntry>* entries) {
+Result<graph::NodeId> DecodeAdjRecord(std::span<const std::byte> bytes,
+                                      int num_costs,
+                                      std::vector<AdjEntry>* entries) {
   entries->clear();
-  graph::NodeId node = Read<uint32_t>(bytes, 0);
-  uint16_t degree = Read<uint16_t>(bytes, 4);
-  MCN_CHECK(bytes.size() >= AdjRecordBytes(degree, num_costs));
+  if (bytes.size() < kAdjRecordHeader) {
+    return Status::Corruption("adjacency record shorter than its header");
+  }
+  const graph::NodeId node = Read<uint32_t>(bytes, 0);
+  const uint16_t degree = Read<uint16_t>(bytes, 4);
+  if (bytes.size() < AdjRecordBytes(degree, num_costs)) {
+    return Status::Corruption("adjacency record of node " +
+                              std::to_string(node) + " declares " +
+                              std::to_string(degree) +
+                              " entries it does not hold");
+  }
   entries->reserve(degree);
   size_t at = kAdjRecordHeader;
   for (uint16_t i = 0; i < degree; ++i) {
-    AdjEntry e;
+    AdjEntry& e = entries->emplace_back();
     e.neighbor = Read<uint32_t>(bytes, at);
     e.fac.page = Read<uint32_t>(bytes, at + 4);
     e.fac.slot = Read<uint16_t>(bytes, at + 8);
@@ -62,7 +75,6 @@ graph::NodeId DecodeAdjRecord(std::span<const std::byte> bytes, int num_costs,
     for (int c = 0; c < num_costs; ++c) {
       e.w[c] = Read<double>(bytes, at + 12 + 8 * static_cast<size_t>(c));
     }
-    entries->push_back(e);
     at += AdjEntryBytes(num_costs);
   }
   return node;
@@ -83,21 +95,27 @@ std::vector<std::byte> EncodeFacRecord(
   return out;
 }
 
-graph::EdgeKey DecodeFacRecord(std::span<const std::byte> bytes,
-                               std::vector<FacilityOnEdge>* facilities) {
+Result<graph::EdgeKey> DecodeFacRecord(
+    std::span<const std::byte> bytes,
+    std::vector<FacilityOnEdge>* facilities) {
   facilities->clear();
+  if (bytes.size() < kFacRecordHeader) {
+    return Status::Corruption("facility record shorter than its header");
+  }
   graph::EdgeKey edge;
   edge.u = Read<uint32_t>(bytes, 0);
   edge.v = Read<uint32_t>(bytes, 4);
-  uint16_t count = Read<uint16_t>(bytes, 8);
-  MCN_CHECK(bytes.size() >= FacRecordBytes(count));
+  const uint16_t count = Read<uint16_t>(bytes, 8);
+  if (bytes.size() < FacRecordBytes(count)) {
+    return Status::Corruption("facility record declares " +
+                              std::to_string(count) +
+                              " entries it does not hold");
+  }
   facilities->reserve(count);
   size_t at = kFacRecordHeader;
   for (uint16_t i = 0; i < count; ++i) {
-    FacilityOnEdge f;
-    f.facility = Read<uint32_t>(bytes, at);
-    f.frac = Read<double>(bytes, at + 4);
-    facilities->push_back(f);
+    facilities->push_back(FacilityOnEdge{Read<uint32_t>(bytes, at),
+                                         Read<double>(bytes, at + 4)});
     at += 12;
   }
   return edge;

@@ -16,8 +16,10 @@
 #define MCN_NET_FORMAT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "mcn/common/result.h"
 #include "mcn/graph/cost_vector.h"
 #include "mcn/graph/multi_cost_graph.h"
 #include "mcn/storage/page.h"
@@ -80,19 +82,24 @@ inline size_t FacRecordBytes(uint32_t count) {
 }
 
 /// Encoding/decoding of the records (used by the builder, the reader and
-/// format tests).
+/// format tests). The decoders read pages of untrusted provenance (a
+/// loaded disk image): a record shorter than its header, or than the
+/// entries its header declares, comes back as Corruption with the output
+/// left empty.
 std::vector<std::byte> EncodeAdjRecord(graph::NodeId node,
                                        const std::vector<AdjEntry>& entries,
                                        int num_costs);
 /// Decodes into `entries` (cleared first). Returns the record's node id.
-graph::NodeId DecodeAdjRecord(std::span<const std::byte> bytes, int num_costs,
-                              std::vector<AdjEntry>* entries);
+Result<graph::NodeId> DecodeAdjRecord(std::span<const std::byte> bytes,
+                                      int num_costs,
+                                      std::vector<AdjEntry>* entries);
 
 std::vector<std::byte> EncodeFacRecord(
     graph::EdgeKey edge, const std::vector<FacilityOnEdge>& facilities);
 /// Decodes into `facilities` (cleared first). Returns the edge key.
-graph::EdgeKey DecodeFacRecord(std::span<const std::byte> bytes,
-                               std::vector<FacilityOnEdge>* facilities);
+Result<graph::EdgeKey> DecodeFacRecord(
+    std::span<const std::byte> bytes,
+    std::vector<FacilityOnEdge>* facilities);
 
 }  // namespace mcn::net
 

@@ -64,11 +64,9 @@ Status NetworkReader::GetAdjacency(graph::NodeId node,
   MCN_ASSIGN_OR_RETURN(auto guard,
                        pool_->Fetch({files_.adjacency_file, pos.page}));
   storage::SlottedPageReader page(guard.data());
-  if (pos.slot >= page.count()) {
-    return Status::Corruption("adjacency record slot out of range");
-  }
-  graph::NodeId stored =
-      DecodeAdjRecord(page.Record(pos.slot), files_.num_costs, out);
+  MCN_ASSIGN_OR_RETURN(auto record, page.TryRecord(pos.slot));
+  MCN_ASSIGN_OR_RETURN(graph::NodeId stored,
+                       DecodeAdjRecord(record, files_.num_costs, out));
   if (stored != node) {
     return Status::Corruption("adjacency record for node " +
                               std::to_string(stored) + ", expected " +
@@ -86,10 +84,8 @@ Status NetworkReader::GetFacilities(graph::EdgeKey edge, const FacRef& ref,
   MCN_ASSIGN_OR_RETURN(auto guard,
                        pool_->Fetch({files_.facility_file, ref.page}));
   storage::SlottedPageReader page(guard.data());
-  if (ref.slot >= page.count()) {
-    return Status::Corruption("facility record slot out of range");
-  }
-  DecodeFacRecord(page.Record(ref.slot), out);
+  MCN_ASSIGN_OR_RETURN(auto record, page.TryRecord(ref.slot));
+  MCN_RETURN_IF_ERROR(DecodeFacRecord(record, out).status());
   if (out->size() != ref.count) {
     return Status::Corruption("facility record count mismatch");
   }

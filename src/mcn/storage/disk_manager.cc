@@ -42,10 +42,9 @@ DiskManager::Stats DiskManager::MergeStats(std::span<const Stats> parts) {
 
 DiskManager::DiskManager(DiskManager&& o) noexcept
     : files_(std::move(o.files_)),
-      page_reads_(o.page_reads_.load(std::memory_order_relaxed)),
       page_writes_(o.page_writes_.load(std::memory_order_relaxed)),
-      batch_reads_(o.batch_reads_.load(std::memory_order_relaxed)),
-      batch_pages_(o.batch_pages_.load(std::memory_order_relaxed)),
+      batch_reads_(std::move(o.batch_reads_)),
+      batch_pages_(std::move(o.batch_pages_)),
       batch_max_pages_(o.batch_max_pages_.load(std::memory_order_relaxed)),
       backend_(std::move(o.backend_)),
       backend_page0_offset_(std::move(o.backend_page0_offset_)) {
@@ -56,14 +55,10 @@ DiskManager& DiskManager::operator=(DiskManager&& o) noexcept {
   MCN_DCHECK(concurrent_reader_scopes() == 0);
   MCN_DCHECK(o.concurrent_reader_scopes() == 0);
   files_ = std::move(o.files_);
-  page_reads_.store(o.page_reads_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
   page_writes_.store(o.page_writes_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
-  batch_reads_.store(o.batch_reads_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  batch_pages_.store(o.batch_pages_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
+  batch_reads_ = std::move(o.batch_reads_);
+  batch_pages_ = std::move(o.batch_pages_);
   batch_max_pages_.store(o.batch_max_pages_.load(std::memory_order_relaxed),
                          std::memory_order_relaxed);
   backend_ = std::move(o.backend_);
@@ -85,33 +80,31 @@ void DiskManager::EndConcurrentReads() {
 
 DiskManager::Stats DiskManager::stats() const {
   Stats s;
-  s.page_reads = page_reads_.load(std::memory_order_relaxed);
   s.page_writes = page_writes_.load(std::memory_order_relaxed);
-  s.batch_reads = batch_reads_.load(std::memory_order_relaxed);
-  s.batch_pages = batch_pages_.load(std::memory_order_relaxed);
+  s.batch_reads = batch_reads_.Value();
+  s.batch_pages = batch_pages_.Value();
   s.batch_max_pages = batch_max_pages_.load(std::memory_order_relaxed);
   s.per_file_reads.reserve(files_.size());
   for (const File& f : files_) {
-    s.per_file_reads.push_back(
-        Stats::FileReads{f.name, f.reads.load(std::memory_order_relaxed)});
+    const uint64_t reads = f.reads.Value();
+    s.page_reads += reads;
+    s.per_file_reads.push_back(Stats::FileReads{f.name, reads});
   }
   return s;
 }
 
 void DiskManager::ResetStats() {
   CheckMutable();
-  page_reads_.store(0, std::memory_order_relaxed);
   page_writes_.store(0, std::memory_order_relaxed);
-  batch_reads_.store(0, std::memory_order_relaxed);
-  batch_pages_.store(0, std::memory_order_relaxed);
+  batch_reads_.Reset();
+  batch_pages_.Reset();
   batch_max_pages_.store(0, std::memory_order_relaxed);
-  for (File& f : files_) f.reads.store(0, std::memory_order_relaxed);
+  for (File& f : files_) f.reads.Reset();
 }
 
 FileId DiskManager::CreateFile(std::string name) {
   CheckMutable();
-  files_.emplace_back(std::move(name),
-                      std::vector<std::vector<std::byte>>{});
+  files_.push_back(File{std::move(name), {}});
   return static_cast<FileId>(files_.size() - 1);
 }
 
@@ -143,8 +136,7 @@ Status DiskManager::ReadPage(PageId id, std::byte* out) {
     MCN_RETURN_IF_ERROR(fi->OnDiskRead());
   }
   std::memcpy(out, files_[id.file].pages[id.page].data(), kPageSize);
-  page_reads_.fetch_add(1, std::memory_order_relaxed);
-  files_[id.file].reads.fetch_add(1, std::memory_order_relaxed);
+  files_[id.file].reads.Add(1);
   return Status::OK();
 }
 
@@ -156,9 +148,9 @@ Result<const std::byte*> DiskManager::ReadPageRef(PageId id) {
   if (FaultInjector* fi = FaultInjector::Get(); fi != nullptr) {
     MCN_RETURN_IF_ERROR(fi->OnDiskRead());
   }
-  page_reads_.fetch_add(1, std::memory_order_relaxed);
-  files_[id.file].reads.fetch_add(1, std::memory_order_relaxed);
-  return files_[id.file].pages[id.page].data();
+  File& file = files_[id.file];
+  file.reads.Add(1);
+  return file.pages[id.page].data();
 }
 
 Status DiskManager::ReadPagesBatch(std::span<const PageId> ids,
@@ -191,12 +183,9 @@ Status DiskManager::ReadPagesBatch(std::span<const PageId> ids,
   }
   // Counter equivalence: n batched pages tick exactly like n ReadPage
   // calls, plus the batch_* accounting.
-  page_reads_.fetch_add(ids.size(), std::memory_order_relaxed);
-  for (PageId id : ids) {
-    files_[id.file].reads.fetch_add(1, std::memory_order_relaxed);
-  }
-  batch_reads_.fetch_add(1, std::memory_order_relaxed);
-  batch_pages_.fetch_add(ids.size(), std::memory_order_relaxed);
+  for (PageId id : ids) files_[id.file].reads.Add(1);
+  batch_reads_.Add(1);
+  batch_pages_.Add(ids.size());
   uint64_t seen = batch_max_pages_.load(std::memory_order_relaxed);
   while (seen < ids.size() &&
          !batch_max_pages_.compare_exchange_weak(seen, ids.size(),

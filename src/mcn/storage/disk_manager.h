@@ -7,11 +7,14 @@
 // then shared read-only by any number of concurrent readers (one BufferPool
 // per executor worker). Read paths (ReadPage/ReadPageRef/PageData and the
 // metadata getters) are safe to call from multiple threads once no mutator
-// runs concurrently — the page bytes are immutable after build and the I/O
-// counters are relaxed atomics. Mutators (CreateFile/AllocatePage/WritePage)
-// and ResetStats are single-writer only; the exec::QueryService brackets its
-// lifetime with BeginConcurrentReads/EndConcurrentReads so that a mutation
-// while readers are active trips an MCN_DCHECK instead of silently racing.
+// runs concurrently — the page bytes are immutable after build, and the
+// read counters are obs::Counters: per-thread, cache-line-padded slots in
+// their own allocations, so a read writes no line that another reader
+// writes or that the file table shares. stats() sums the slots. Mutators
+// (CreateFile/AllocatePage/WritePage) and ResetStats are single-writer
+// only; the exec::QueryService brackets its lifetime with
+// BeginConcurrentReads/EndConcurrentReads so that a mutation while readers
+// are active trips an MCN_DCHECK instead of silently racing.
 #ifndef MCN_STORAGE_DISK_MANAGER_H_
 #define MCN_STORAGE_DISK_MANAGER_H_
 
@@ -25,6 +28,7 @@
 
 #include "mcn/common/result.h"
 #include "mcn/common/status.h"
+#include "mcn/obs/metrics.h"
 #include "mcn/storage/io_backend.h"
 #include "mcn/storage/page.h"
 
@@ -34,7 +38,7 @@ namespace mcn::storage {
 /// Single-writer/multi-reader: see the concurrency contract above.
 class DiskManager {
  public:
-  /// A plain snapshot of the atomic counters (coherent enough for the
+  /// A plain snapshot of the counters (coherent enough for the
   /// experiments: readers are quiesced whenever totals are compared).
   /// `per_file_reads` breaks the read total down by file, keyed by file
   /// name so that snapshots from different managers (e.g. the shards of a
@@ -93,7 +97,7 @@ class DiskManager {
   /// while the file exists. Used by the (read-only) BufferPool so a miss
   /// costs no 4KB copy — physical I/O cost is modeled from the read count,
   /// not from simulation memcpy time (DESIGN.md §3). Safe for concurrent
-  /// readers: the bytes are immutable and the counter is atomic.
+  /// readers: the bytes are immutable and the counter is per-thread.
   Result<const std::byte*> ReadPageRef(PageId id);
 
   /// Overwrites a full page from `data` (kPageSize bytes).
@@ -159,33 +163,19 @@ class DiskManager {
   struct File {
     std::string name;
     std::vector<std::vector<std::byte>> pages;
-    /// Per-file slice of the read counter (relaxed, like the totals).
-    std::atomic<uint64_t> reads{0};
-
-    File(std::string n, std::vector<std::vector<std::byte>> p)
-        : name(std::move(n)), pages(std::move(p)) {}
-    // Movable so files_ can grow (build-time only; counters snapshotted).
-    File(File&& o) noexcept
-        : name(std::move(o.name)),
-          pages(std::move(o.pages)),
-          reads(o.reads.load(std::memory_order_relaxed)) {}
-    File& operator=(File&& o) noexcept {
-      name = std::move(o.name);
-      pages = std::move(o.pages);
-      reads.store(o.reads.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-      return *this;
-    }
+    /// Pages read from this file. Stats::page_reads is the sum over files:
+    /// every counted read ticks exactly one file. The slots move with the
+    /// File when files_ grows (build time).
+    obs::Counter reads{obs::kMaxSlots};
   };
 
   Status CheckPage(PageId id) const;
   void CheckMutable() const;
 
   std::vector<File> files_;
-  std::atomic<uint64_t> page_reads_{0};
   std::atomic<uint64_t> page_writes_{0};
-  std::atomic<uint64_t> batch_reads_{0};
-  std::atomic<uint64_t> batch_pages_{0};
+  obs::Counter batch_reads_{obs::kMaxSlots};
+  obs::Counter batch_pages_{obs::kMaxSlots};
   std::atomic<uint64_t> batch_max_pages_{0};
   std::atomic<int> concurrent_readers_{0};
   /// Physical plane behind ReadPagesBatch; null = serve from memory.

@@ -288,9 +288,14 @@ TEST(ChaosTest, SessionChurnUnderChaosNeverLeaksSessions) {
   }
 
   // Heal, drop all clients (done above by scope), and wait for the
-  // connection threads to finish their cleanup.
+  // connection threads to finish their cleanup. A connection thread
+  // decrements the server's count only after CloseSession has returned,
+  // and a closed session is destroyed outside the service's lock, so the
+  // service's count can reach zero first: wait for both.
   injector.set_enabled(false);
-  for (int spin = 0; spin < 400 && rig.service->num_open_sessions() != 0;
+  for (int spin = 0;
+       spin < 400 && (rig.service->num_open_sessions() != 0 ||
+                      (*server)->sessions_open() != 0);
        ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }

@@ -27,8 +27,9 @@ TEST(FormatTest, AdjRecordRoundTrip) {
   EXPECT_EQ(bytes.size(), AdjRecordBytes(3, 2));
 
   std::vector<AdjEntry> decoded;
-  graph::NodeId node = DecodeAdjRecord(bytes, 2, &decoded);
-  EXPECT_EQ(node, 42u);
+  auto node = DecodeAdjRecord(bytes, 2, &decoded);
+  ASSERT_TRUE(node.ok());
+  EXPECT_EQ(*node, 42u);
   ASSERT_EQ(decoded.size(), 3u);
   EXPECT_EQ(decoded[0].neighbor, 7u);
   EXPECT_EQ(decoded[0].fac.page, 12u);
@@ -44,11 +45,37 @@ TEST(FormatTest, FacRecordRoundTrip) {
   auto bytes = EncodeFacRecord(graph::EdgeKey(8, 3), facs);
   EXPECT_EQ(bytes.size(), FacRecordBytes(3));
   std::vector<FacilityOnEdge> decoded;
-  graph::EdgeKey key = DecodeFacRecord(bytes, &decoded);
-  EXPECT_EQ(key, graph::EdgeKey(3, 8));
+  auto key = DecodeFacRecord(bytes, &decoded);
+  ASSERT_TRUE(key.ok());
+  EXPECT_EQ(*key, graph::EdgeKey(3, 8));
   ASSERT_EQ(decoded.size(), 3u);
   EXPECT_EQ(decoded[0].facility, 10u);
   EXPECT_EQ(decoded[1].frac, 0.75);
+}
+
+TEST(FormatTest, DecodersRejectTruncatedRecords) {
+  std::vector<AdjEntry> entries(2);
+  entries[0].w = graph::CostVector{1.0, 2.0};
+  entries[1].w = graph::CostVector{3.0, 4.0};
+  const auto adj = EncodeAdjRecord(5, entries, 2);
+  std::vector<AdjEntry> decoded(1);
+  for (size_t len : {size_t{0}, kAdjRecordHeader - 1, adj.size() - 1}) {
+    auto node =
+        DecodeAdjRecord(std::span(adj).first(len), 2, &decoded);
+    EXPECT_EQ(node.status().code(), StatusCode::kCorruption) << len;
+    EXPECT_TRUE(decoded.empty()) << len;
+    decoded.resize(1);
+  }
+
+  const auto fac =
+      EncodeFacRecord(graph::EdgeKey(1, 2), {{7, 0.5}, {8, 0.25}});
+  std::vector<FacilityOnEdge> facs(1);
+  for (size_t len : {size_t{0}, kFacRecordHeader - 1, fac.size() - 1}) {
+    auto key = DecodeFacRecord(std::span(fac).first(len), &facs);
+    EXPECT_EQ(key.status().code(), StatusCode::kCorruption) << len;
+    EXPECT_TRUE(facs.empty()) << len;
+    facs.resize(1);
+  }
 }
 
 TEST(FormatTest, RecordPosPacking) {

@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -72,7 +74,7 @@ TEST(ParallelExpansionStressTest, StripedFetchHammer) {
           errors.fetch_add(1);
           continue;
         }
-        for (const net::AdjEntry& e : *adj.value()) {
+        for (const net::AdjEntry& e : adj.value()) {
           if (e.fac.empty()) continue;
           auto facs = fetch.GetFacilities(graph::EdgeKey(v, e.neighbor),
                                           e.fac);
@@ -93,9 +95,9 @@ TEST(ParallelExpansionStressTest, StripedFetchHammer) {
     auto adj = fetch.GetAdjacency(v);
     ASSERT_TRUE(adj.ok());
     ASSERT_TRUE(rig.readers[0]->GetAdjacency(v, &expected).ok());
-    ASSERT_EQ(adj.value()->size(), expected.size());
+    ASSERT_EQ(adj.value().size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
-      const net::AdjEntry& got = (*adj.value())[i];
+      const net::AdjEntry& got = adj.value()[i];
       EXPECT_EQ(got.neighbor, expected[i].neighbor);
       EXPECT_EQ(got.fac.count, expected[i].fac.count);
       for (int j = 0; j < config.num_costs; ++j) {
@@ -124,7 +126,8 @@ TEST(ParallelExpansionStressTest, SingleFlightCollapsesStampede) {
   for (graph::NodeId v : {0u, 17u, 123u}) {
     StripedCachedFetch fetch(rig.reader_ptrs);
     std::atomic<int> ready{0};
-    std::vector<const std::vector<net::AdjEntry>*> rows(kHammerThreads);
+    std::vector<std::optional<std::span<const net::AdjEntry>>> rows(
+        kHammerThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kHammerThreads; ++t) {
       threads.emplace_back([&, t] {
@@ -132,13 +135,15 @@ TEST(ParallelExpansionStressTest, SingleFlightCollapsesStampede) {
         ready.fetch_add(1);
         while (ready.load() < kHammerThreads) std::this_thread::yield();
         auto adj = fetch.GetAdjacency(v);
-        rows[t] = adj.ok() ? adj.value() : nullptr;
+        if (adj.ok()) rows[t] = adj.value();
       });
     }
     for (std::thread& t : threads) t.join();
     for (int t = 0; t < kHammerThreads; ++t) {
-      ASSERT_NE(rows[t], nullptr);
-      EXPECT_EQ(rows[t], rows[0]);  // one published row, stable address
+      ASSERT_TRUE(rows[t].has_value());
+      // one published row, stable address
+      EXPECT_EQ(rows[t]->data(), rows[0]->data());
+      EXPECT_EQ(rows[t]->size(), rows[0]->size());
     }
     EXPECT_EQ(fetch.stats().adjacency_fetches, 1u);
     EXPECT_EQ(fetch.stats().adjacency_requests,

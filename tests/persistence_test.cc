@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <optional>
+#include <vector>
 
 #include "mcn/algo/skyline_query.h"
 #include "mcn/expand/engines.h"
 #include "mcn/net/catalog.h"
 #include "mcn/storage/persistence.h"
+#include "mcn/storage/slotted_page.h"
 #include "test_util.h"
 
 namespace mcn {
@@ -125,6 +129,90 @@ TEST(PersistenceTest, FullDatabaseRoundTripAnswersQueries) {
     for (const auto& e : entries) got.insert(e.facility);
     EXPECT_EQ(got, oracle);
   }
+}
+
+/// Overwrites the u16 at `at` within record `slot` of page `id`.
+void PatchRecordU16(storage::DiskManager* disk, storage::PageId id,
+                    uint16_t slot, size_t at, uint16_t value) {
+  std::vector<std::byte> page(storage::kPageSize);
+  ASSERT_TRUE(disk->ReadPage(id, page.data()).ok());
+  auto record = storage::SlottedPageReader(page.data()).TryRecord(slot);
+  ASSERT_TRUE(record.ok());
+  ASSERT_GE(record->size(), at + sizeof(value));
+  const size_t offset = static_cast<size_t>(record->data() - page.data());
+  std::memcpy(page.data() + offset + at, &value, sizeof(value));
+  ASSERT_TRUE(disk->WritePage(id, page.data()).ok());
+}
+
+/// Runs a CEA skyline query at `q`; returns the first failure (engine
+/// set-up or expansion) or OK.
+Status RunSkyline(net::NetworkReader* reader, const graph::Location& q) {
+  MCN_ASSIGN_OR_RETURN(auto engine, expand::CeaEngine::Create(reader, q));
+  algo::SkylineQuery query(engine.get());
+  return query.ComputeAll().status();
+}
+
+// A loaded image is untrusted input: a record whose header declares more
+// entries than it holds must fail the query with Corruption, not abort.
+TEST(PersistenceTest, OversizedRecordCountsInImageAreCorruption) {
+  test::SmallConfig config;
+  config.seed = 5150;
+  auto instance = test::MakeSmallInstance(config).value();
+  std::string base = TempPath("netdb_corrupt");
+  ASSERT_TRUE(net::SaveNetworkDatabase(*instance->storage.disk(0),
+                                       instance->files.shards[0], base)
+                  .ok());
+
+  // Pick an edge that carries facilities, and a node elsewhere.
+  auto db = net::LoadNetworkDatabase(base);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const net::NetworkFiles& files = db->files;
+  graph::EdgeKey fac_edge;
+  net::FacRef fac_ref;
+  {
+    storage::BufferPool pool(&db->disk, 64);
+    net::NetworkReader reader(files, &pool);
+    std::vector<net::AdjEntry> entries;
+    for (graph::NodeId v = 0; v < files.num_nodes && fac_ref.empty(); ++v) {
+      ASSERT_TRUE(reader.GetAdjacency(v, &entries).ok());
+      for (const net::AdjEntry& e : entries) {
+        if (e.fac.empty() || e.neighbor < v) continue;
+        fac_edge = graph::EdgeKey(v, e.neighbor);
+        fac_ref = e.fac;
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(fac_ref.empty());
+  graph::NodeId bad_node = 0;
+  while (bad_node == fac_edge.u || bad_node == fac_edge.v) ++bad_node;
+  std::optional<uint64_t> pos_value;
+  {
+    storage::BufferPool pool(&db->disk, 64);
+    auto lookup = files.adjacency_tree.Lookup(pool, bad_node);
+    ASSERT_TRUE(lookup.ok() && lookup->has_value());
+    pos_value = **lookup;
+  }
+  const net::RecordPos pos = net::RecordPos::Unpack(*pos_value);
+
+  // Degree (u16 at byte 4 of an adjacency record) and count (u16 at byte 8
+  // of a facility record) set to 0xFFFF, written back into the image.
+  PatchRecordU16(&db->disk, {files.adjacency_file, pos.page}, pos.slot, 4,
+                 0xFFFF);
+  PatchRecordU16(&db->disk, {files.facility_file, fac_ref.page},
+                 fac_ref.slot, 8, 0xFFFF);
+  ASSERT_TRUE(storage::SaveDiskImage(db->disk, base + ".img").ok());
+
+  auto corrupt = net::LoadNetworkDatabase(base);
+  ASSERT_TRUE(corrupt.ok()) << corrupt.status().ToString();
+  storage::BufferPool pool(&corrupt->disk, 64);
+  net::NetworkReader reader(corrupt->files, &pool);
+  const Status at_node =
+      RunSkyline(&reader, graph::Location::AtNode(bad_node));
+  EXPECT_EQ(at_node.code(), StatusCode::kCorruption) << at_node.ToString();
+  const Status on_edge =
+      RunSkyline(&reader, graph::Location::OnEdge(fac_edge, 0.5));
+  EXPECT_EQ(on_edge.code(), StatusCode::kCorruption) << on_edge.ToString();
 }
 
 }  // namespace

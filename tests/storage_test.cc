@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "mcn/storage/disk_manager.h"
@@ -174,6 +176,78 @@ TEST(DiskManagerTest, StatsMergeWithPerFileBreakdown) {
   a.ResetStats();
   EXPECT_EQ(a.stats().page_reads, 0u);
   EXPECT_EQ(a.stats().ReadsForFile("adjacency_file"), 0u);
+}
+
+// The read counters are per-thread slots summed by stats(); concurrent
+// single-page readers and a batch reader must still add up exactly, and a
+// DiskManager moved after build must carry its counts along.
+TEST(StorageTest, ConcurrentReadCountersAreExact) {
+  constexpr int kFiles = 3;
+  constexpr PageNo kPages = 8;
+  constexpr int kReaders = 4;
+  constexpr int kReadsPerReader = 20000;
+  constexpr int kBatches = 2000;
+
+  DiskManager built;
+  FileId files[kFiles];
+  const char* names[kFiles] = {"adjacency_file", "facility_file",
+                               "adjacency_tree"};
+  for (int f = 0; f < kFiles; ++f) {
+    files[f] = built.CreateFile(names[f]);
+    for (PageNo p = 0; p < kPages; ++p) {
+      ASSERT_TRUE(built.AllocatePage(files[f]).ok());
+    }
+  }
+  ASSERT_TRUE(built.ReadPageRef({files[0], 0}).ok());
+  DiskManager disk(std::move(built));
+  ASSERT_EQ(disk.stats().page_reads, 1u);
+
+  // Reader t's i-th read hits file (t + i) % kFiles; each batch reads one
+  // page of every file.
+  uint64_t want_per_file[kFiles] = {1, 0, 0};
+  for (int t = 0; t < kReaders; ++t) {
+    for (int i = 0; i < kReadsPerReader; ++i) ++want_per_file[(t + i) % kFiles];
+  }
+  for (int f = 0; f < kFiles; ++f) want_per_file[f] += kBatches;
+
+  disk.BeginConcurrentReads();
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kReadsPerReader; ++i) {
+        const PageId id{files[(t + i) % kFiles],
+                        static_cast<PageNo>(i % kPages)};
+        if (!disk.ReadPageRef(id).ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    std::vector<std::byte> buffers(kFiles * kPageSize);
+    std::byte* out[kFiles];
+    for (int f = 0; f < kFiles; ++f) out[f] = buffers.data() + f * kPageSize;
+    for (int i = 0; i < kBatches; ++i) {
+      PageId ids[kFiles];
+      for (int f = 0; f < kFiles; ++f) {
+        ids[f] = PageId{files[f], static_cast<PageNo>(i % kPages)};
+      }
+      if (!disk.ReadPagesBatch(ids, out).ok()) failures.fetch_add(1);
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  disk.EndConcurrentReads();
+  ASSERT_EQ(failures.load(), 0);
+
+  const DiskManager::Stats stats = disk.stats();
+  EXPECT_EQ(stats.page_reads, 1u + uint64_t{kReaders} * kReadsPerReader +
+                                  uint64_t{kBatches} * kFiles);
+  ASSERT_EQ(stats.per_file_reads.size(), static_cast<size_t>(kFiles));
+  for (int f = 0; f < kFiles; ++f) {
+    EXPECT_EQ(stats.ReadsForFile(names[f]), want_per_file[f]) << names[f];
+  }
+  EXPECT_EQ(stats.batch_reads, uint64_t{kBatches});
+  EXPECT_EQ(stats.batch_pages, uint64_t{kBatches} * kFiles);
+  EXPECT_EQ(stats.batch_max_pages, uint64_t{kFiles});
 }
 
 TEST(SlottedPageTest, ManySmallRecords) {

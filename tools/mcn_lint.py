@@ -10,7 +10,8 @@ Rules (each can be suppressed, see below):
       mcn::Mutex so Clang Thread Safety Analysis sees it.
 
   check-in-decode
-      MCN_CHECK / MCN_DCHECK inside the wire / disk-image decode files.
+      MCN_CHECK / MCN_DCHECK inside the wire / disk-image / record decode
+      files.
       Decoders parse untrusted bytes and must reject malformed input with a
       Status, never a process abort. (Encode-side programmer-error CHECKs
       in the same files carry suppressions with justifications.)
@@ -73,7 +74,7 @@ RULES = [
     ),
     (
         "check-in-decode",
-        re.compile(r"src/mcn/(api/wire|storage/persistence)\.cc$"),
+        re.compile(r"src/mcn/(api/wire|storage/persistence|net/format)\.cc$"),
         re.compile(r"\bMCN_D?CHECK\b"),
         "CHECK in a decode path; untrusted input must come back as a "
         "Status, not a process abort",
