@@ -377,14 +377,14 @@ int Main() {
                                env, distinct, order, ref_distinct);
   AlgoComparison c_off;
   c_off.cea = off.metrics;
-  SetNextRowMeta("serial", "memory");
+  SetNextRowMeta("memory");
   PrintRow("off", c_off, off.snapshot);
   ServiceRun on = RunCacheLeg(**instance, /*cache_entries=*/64, stall_us,
                               env, distinct, order, ref_distinct);
   exec::ServiceStats on_stats = exec::ServiceStatsFromSnapshot(on.snapshot);
   AlgoComparison c_on;
   c_on.cea = on.metrics;
-  SetNextRowMeta("serial", "memory");
+  SetNextRowMeta("memory");
   PrintRow("on", c_on, on.snapshot);
   std::printf(
       "    cache: %" PRIu64 " hits, %" PRIu64 " misses, %" PRIu64

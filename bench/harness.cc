@@ -42,9 +42,8 @@ QueryOutcome MakeOutcome(const std::vector<Entry>& entries) {
 struct JsonRow {
   std::string param;
   AlgoComparison c;
-  /// Row provenance tags (may be empty; see SetNextRowMeta): which stall
-  /// model and I/O backend produced the row's timings.
-  std::string stall_model;
+  /// Row provenance tag (may be empty; see SetNextRowMeta): which I/O
+  /// backend produced the row's timings.
   std::string io_backend;
   /// Flattened registry snapshot (may be empty): name -> value pairs for
   /// the row's "obs" object. Informational only; bench_diff.py ignores it.
@@ -81,8 +80,7 @@ struct JsonState {
   BenchEnv env;
   std::vector<JsonFigure> figures;
   bool figure_open = false;
-  /// One-shot row tags staged by SetNextRowMeta for the next PrintRow.
-  std::string next_stall_model;
+  /// One-shot row tag staged by SetNextRowMeta for the next PrintRow.
   std::string next_io_backend;
 };
 
@@ -146,10 +144,6 @@ void WriteJson() {
       const JsonRow& row = fig.rows[ri];
       std::fprintf(f, "      {\"param\": \"%s\",\n",
                    JsonEscape(row.param).c_str());
-      if (!row.stall_model.empty()) {
-        std::fprintf(f, "        \"stall_model\": \"%s\",\n",
-                     JsonEscape(row.stall_model).c_str());
-      }
       if (!row.io_backend.empty()) {
         std::fprintf(f, "        \"io_backend\": \"%s\",\n",
                      JsonEscape(row.io_backend).c_str());
@@ -277,11 +271,8 @@ void PrintRow(const std::string& param_value, const AlgoComparison& c) {
   PrintRow(param_value, c, obs::Snapshot{});
 }
 
-void SetNextRowMeta(const std::string& stall_model,
-                    const std::string& io_backend) {
-  JsonState& st = State();
-  st.next_stall_model = stall_model;
-  st.next_io_backend = io_backend;
+void SetNextRowMeta(const std::string& io_backend) {
+  State().next_io_backend = io_backend;
 }
 
 void PrintRow(const std::string& param_value, const AlgoComparison& c,
@@ -289,10 +280,9 @@ void PrintRow(const std::string& param_value, const AlgoComparison& c,
   JsonState& st = State();
   if (st.figure_open) {
     st.figures.back().rows.push_back(
-        JsonRow{param_value, c, std::move(st.next_stall_model),
-                std::move(st.next_io_backend), FlattenSnapshot(obs_snapshot)});
+        JsonRow{param_value, c, std::move(st.next_io_backend),
+                FlattenSnapshot(obs_snapshot)});
   }
-  st.next_stall_model.clear();
   st.next_io_backend.clear();
   double speedup = c.cea.AvgModeled() > 0
                        ? c.lsa.AvgModeled() / c.cea.AvgModeled()

@@ -136,15 +136,13 @@ void PrintRow(const std::string& param_value, const AlgoComparison& c,
               const obs::Snapshot& obs_snapshot);
 void PrintFooter();
 
-/// Tags the *next* PrintRow's JSON record with the stall model
-/// ("serial"/"overlapped") and I/O backend ("memory"/"preadv"/"io_uring")
-/// it ran under (DESIGN.md §13); empty strings omit the key. One-shot:
-/// consumed by the next PrintRow. tools/bench_diff.py refuses to compare
-/// rows whose tags both exist and differ — modeled times under different
-/// stall models (or wall times under different backends) are different
+/// Tags the *next* PrintRow's JSON record with the I/O backend
+/// ("memory"/"preadv"/"io_uring") it ran under (DESIGN.md §5); an empty
+/// string omits the key. One-shot: consumed by the next PrintRow.
+/// tools/bench_diff.py refuses to compare rows whose tags both exist and
+/// differ — wall times under different backends are different
 /// quantities, not regressions.
-void SetNextRowMeta(const std::string& stall_model,
-                    const std::string& io_backend);
+void SetNextRowMeta(const std::string& io_backend);
 
 }  // namespace mcn::bench
 

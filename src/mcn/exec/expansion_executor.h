@@ -82,10 +82,6 @@ class ExpansionExecutor {
   /// Call between queries.
   void SetHomeShard(shard::ShardId home);
 
-  const std::vector<std::unique_ptr<shard::ShardedNetworkReader>>& readers()
-      const {
-    return readers_;
-  }
   expand::ProbePool* probe_pool() { return probe_pool_.get(); }
 
  private:

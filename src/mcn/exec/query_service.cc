@@ -16,16 +16,6 @@
 
 namespace mcn::exec {
 
-const char* StallModelName(StallModel model) {
-  switch (model) {
-    case StallModel::kSerial:
-      return "serial";
-    case StallModel::kOverlapped:
-      return "overlapped";
-  }
-  return "unknown";
-}
-
 namespace {
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
@@ -214,7 +204,6 @@ QueryService::QueryService(shard::ShardedStorage* storage,
   metrics_.cache_hit = registry_.GetCounter(mn::kCacheHit);
   metrics_.cache_miss = registry_.GetCounter(mn::kCacheMiss);
   metrics_.cache_coalesced = registry_.GetCounter(mn::kCacheCoalesced);
-  metrics_.overlapped_misses = registry_.GetCounter(mn::kOverlappedMisses);
   metrics_.cpu_micros = registry_.GetCounter(mn::kCpuMicros);
   metrics_.stall_micros = registry_.GetCounter(mn::kStallMicros);
   metrics_.queue_micros = registry_.GetCounter(mn::kQueueMicros);
@@ -633,31 +622,18 @@ void QueryService::Execute(Task&& task, int worker_index) {
   }
   result.stats.worker = worker_index;
   result.stats.shard = static_cast<int>(task.home_shard);
-  // exec_seconds excludes any stall already slept at turn barriers, so
-  // subtract both shares or the queue wait would absorb the slept time.
-  result.stats.queue_seconds = SecondsSince(task.enqueue_time) -
-                               result.stats.exec_seconds -
-                               result.stats.stall_slept_seconds;
-  // Modeled I/O charge per the service's stall model (DESIGN.md §13): the
-  // serial per-miss sum, or the overlapped per-turn-max charge RunQuery
-  // and RunSessionBatch computed.
-  const bool overlapped = opts_.stall_model == StallModel::kOverlapped;
-  result.stats.stall_seconds =
-      static_cast<double>(overlapped ? result.stats.overlapped_misses
-                                     : result.stats.buffer_misses) *
-      opts_.io_latency_ms / 1000.0;
-  if (opts_.simulate_io_stalls) {
-    // The overlapped model already slept per turn at the barriers; only
-    // the residual (serial-charged seeding misses, rounding) is left.
-    const double residual =
-        result.stats.stall_seconds - result.stats.stall_slept_seconds;
-    if (residual > 0) {
-      const auto stall_start = std::chrono::steady_clock::now();
-      std::this_thread::sleep_for(std::chrono::duration<double>(residual));
-      obs::RecordSpanSince(task.trace, obs::EventType::kStall, stall_start,
-                           overlapped ? result.stats.overlapped_misses
-                                      : result.stats.buffer_misses);
-    }
+  // Taken before the stall is slept, so the queue wait never absorbs it.
+  result.stats.queue_seconds =
+      SecondsSince(task.enqueue_time) - result.stats.exec_seconds;
+  // The one modeled I/O charge: one io_latency per buffer miss.
+  result.stats.stall_seconds = static_cast<double>(result.stats.buffer_misses) *
+                               opts_.io_latency_ms / 1000.0;
+  if (opts_.simulate_io_stalls && result.stats.stall_seconds > 0) {
+    const auto stall_start = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(result.stats.stall_seconds));
+    obs::RecordSpanSince(task.trace, obs::EventType::kStall, stall_start,
+                         result.stats.buffer_misses);
   }
   result.stats.latency_seconds = SecondsSince(task.enqueue_time);
   // The whole-request span, admission -> completion (encloses the queue
@@ -683,9 +659,6 @@ void QueryService::Execute(Task&& task, int worker_index) {
       static_cast<uint64_t>(result.stats.latency_seconds * 1e6), slot);
   metrics_.buffer_misses->Add(result.stats.buffer_misses, slot);
   metrics_.buffer_accesses->Add(result.stats.buffer_accesses, slot);
-  if (overlapped) {
-    metrics_.overlapped_misses->Add(result.stats.overlapped_misses, slot);
-  }
   if (result.stats.prune_checked > 0) {
     metrics_.prune_checked->Add(result.stats.prune_checked, slot);
     metrics_.prune_cut->Add(result.stats.prune_cut, slot);
@@ -827,66 +800,8 @@ QueryResult QueryService::RunSessionBatch(Session& session, int n,
     }
   }
   FinishExecStats(watch, before, sample(), &result.stats);
-  // A session's turns are width-1 (parallelism 0): a turn's largest miss
-  // delta is its only one, so the overlapped charge is the serial one.
-  result.stats.overlapped_misses = result.stats.buffer_misses;
   if (result.status.ok()) result.result_hash = algo::HashResult(result.topk);
   return result;
-}
-
-void QueryService::ArmTurnIo(Worker& worker, bool pooled,
-                             expand::ParallelProbeScheduler* scheduler,
-                             std::vector<storage::BufferPool*>* recording) {
-  if (opts_.stall_model != StallModel::kOverlapped &&
-      !opts_.replay_batch_io) {
-    return;
-  }
-  expand::ParallelProbeScheduler::TurnIoOptions io;
-  if (pooled) {
-    ExpansionExecutor* rig = worker.expansion.get();
-    io.slot_misses = [rig](int reader_slot) {
-      return rig->readers()[static_cast<size_t>(reader_slot)]
-          ->PoolStats()
-          .misses;
-    };
-  } else {
-    const shard::ShardedNetworkReader* reader = worker.reader.get();
-    io.slot_misses = [reader](int) { return reader->PoolStats().misses; };
-  }
-  if (opts_.stall_model == StallModel::kOverlapped &&
-      opts_.simulate_io_stalls) {
-    io.sleep_latency_ms = opts_.io_latency_ms;
-  }
-  storage::DiskManager* disk = storage_->disk(0);
-  if (opts_.replay_batch_io && storage_->num_shards() == 1 &&
-      disk->io_backend() != storage::IoBackendKind::kMemory) {
-    // Physical replay is single-disk (K = 1) + file-backed only: a
-    // K > 1 turn's misses span several disks, and a memory backend would
-    // make the replay a pure memcpy exercise. Pools log their missed
-    // PageIds; the barrier drains the logs into one ReadPagesBatch.
-    // Stale entries from a previous query are drained away before
-    // arming.
-    if (pooled) {
-      for (const auto& slot_reader : worker.expansion->readers()) {
-        recording->push_back(slot_reader->shard_pool(0));
-      }
-    } else {
-      recording->push_back(worker.reader->shard_pool(0));
-    }
-    for (storage::BufferPool* pool : *recording) {
-      pool->set_record_misses(true);
-      (void)pool->DrainMissedPages();
-    }
-    io.drain_missed = [pools = *recording](
-                          std::vector<storage::PageId>* out) {
-      for (storage::BufferPool* pool : pools) {
-        std::vector<storage::PageId> drained = pool->DrainMissedPages();
-        out->insert(out->end(), drained.begin(), drained.end());
-      }
-    };
-    io.batch_disk = disk;
-  }
-  scheduler->SetTurnIo(std::move(io));
 }
 
 QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
@@ -976,19 +891,7 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
       result.status = made.status();
     }
   }
-  // Miss recording (replay_batch_io) is scoped to this query: the pools
-  // are persistent, and the log must not grow while no barrier drains it.
-  struct MissRecordingGuard {
-    std::vector<storage::BufferPool*> pools;
-    ~MissRecordingGuard() {
-      for (storage::BufferPool* pool : pools) {
-        pool->set_record_misses(false);
-        (void)pool->DrainMissedPages();
-      }
-    }
-  } miss_recording;
   if (result.status.ok()) {
-    ArmTurnIo(worker, pooled, scheduler.get(), &miss_recording.pools);
     // Cooperative cancellation: the expansions check the token per settle,
     // the scheduler at every turn. Engine and token die with this call,
     // so no clearing is needed.
@@ -1002,26 +905,6 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
     result.status = RunProcessor(spec, engine.get(), exec, &result);
   }
   FinishExecStats(watch, before, sample(), &result.stats);
-
-  if (opts_.stall_model == StallModel::kOverlapped) {
-    // Overlapped charge = the scheduler's per-turn max sum, plus the
-    // serial residue: misses outside any probe (engine seeding), which
-    // nothing overlapped. A width-1 turn's max delta is its only one, so
-    // a parallelism-0 query's charge equals its serial one.
-    const expand::ParallelProbeScheduler::Stats turns =
-        scheduler != nullptr ? scheduler->stats()
-                             : expand::ParallelProbeScheduler::Stats{};
-    const uint64_t residue =
-        result.stats.buffer_misses > turns.probe_misses
-            ? result.stats.buffer_misses - turns.probe_misses
-            : 0;
-    result.stats.overlapped_misses = turns.overlapped_misses + residue;
-    result.stats.stall_slept_seconds = turns.slept_seconds;
-    // The watch ran through the barrier sleeps; keep exec_seconds pure
-    // compute like the serial model's (whose stall is slept outside it).
-    result.stats.exec_seconds =
-        std::max(0.0, result.stats.exec_seconds - turns.slept_seconds);
-  }
   if (!result.status.ok()) return result;
 
   // Hashed outside the measured window, like the bench harness; the hash
@@ -1040,12 +923,11 @@ obs::Snapshot QueryService::MetricsSnapshot() const {
   const storage::DiskManager::Stats disk_io = storage_->MergedStats();
   snap.AddCounter(mn::kDiskPageReads, disk_io.page_reads);
   snap.AddCounter(mn::kDiskPageWrites, disk_io.page_writes);
-  // Batched-read slice (DESIGN.md §13): zero rows until a turn replay or
-  // an explicit ReadPagesBatch touches the disk, so the introspection
-  // surface is stable either way.
-  snap.AddCounter(mn::kIoBatchReads, disk_io.batch_reads);
-  snap.AddCounter(mn::kIoBatchPages, disk_io.batch_pages);
-  snap.AddCounter(mn::kIoBatchMaxPages, disk_io.batch_max_pages);
+  // Batched-read slice (DESIGN.md §13): zero rows until a ReadPagesBatch
+  // touches the disk, so the introspection surface is stable either way.
+  snap.AddCounter(mn::kDiskBatchReads, disk_io.batch_reads);
+  snap.AddCounter(mn::kDiskBatchPages, disk_io.batch_pages);
+  snap.AddCounter(mn::kDiskBatchMaxPages, disk_io.batch_max_pages);
   for (const auto& file : disk_io.per_file_reads) {
     snap.AddCounter("mcn.disk.file." + file.name + ".reads", file.reads);
   }

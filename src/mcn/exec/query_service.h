@@ -81,23 +81,6 @@ struct ResultFlight;  // exec/result_cache.h
 /// existing exec::QueryKind::kSkyline spellings keep working.
 using QueryKind = api::QueryKind;
 
-/// How a query's modeled I/O stall is charged (DESIGN.md §13).
-///
-/// kSerial is the paper's model: every buffer miss costs one io_latency,
-/// so stall = misses x latency — the schedule where each fetch waits for
-/// the previous one. kOverlapped models a turn's misses as issued
-/// together (one batched read per barrier): each turn costs only its
-/// *maximum* per-probe miss delta, so stall = sum over turns of
-/// max(probe miss deltas) x latency, plus the serial residue of misses
-/// outside any probe (engine seeding). Every request runs as turns; a
-/// width-1 turn's maximum delta is its only one, so a parallelism-0
-/// request (and a session batch) is charged the same under either model.
-enum class StallModel {
-  kSerial = 0,
-  kOverlapped,
-};
-const char* StallModelName(StallModel model);  ///< "serial"/"overlapped"
-
 /// Streaming-session handle (see OpenSession). Ids are service-scoped and
 /// never reused.
 using SessionId = uint64_t;
@@ -108,19 +91,9 @@ struct QueryStats {
   int shard = -1;            ///< home shard: the tile of the location
   double queue_seconds = 0;  ///< submit -> start of execution
   double exec_seconds = 0;   ///< engine construction + query computation
-  /// Modeled I/O time, charged under ServiceOptions::stall_model: misses
-  /// x io_latency_ms for StallModel::kSerial, overlapped_misses x
-  /// io_latency_ms for StallModel::kOverlapped (per-turn max instead of
-  /// per-miss sum — see the enum).
+  /// Modeled I/O time: buffer_misses x ServiceOptions::io_latency_ms, the
+  /// paper's one-latency-per-miss charge.
   double stall_seconds = 0;
-  /// Overlapped charge units (kOverlapped only): sum over turns of the
-  /// max per-probe miss delta, plus misses outside any probe (engine
-  /// seeding), which stay serial.
-  uint64_t overlapped_misses = 0;
-  /// Portion of stall_seconds already slept at turn barriers
-  /// (simulate_io_stalls + kOverlapped); the executor sleeps only the
-  /// residual after the query returns.
-  double stall_slept_seconds = 0;
   /// Full request latency: queue wait + execution + stall (the stall is
   /// slept for real when ServiceOptions::simulate_io_stalls is set,
   /// otherwise only accounted).
@@ -176,25 +149,10 @@ struct ServiceOptions {
   size_t pool_frames_per_worker = 0;
   /// Modeled I/O latency charged per buffer miss (as in the bench harness).
   double io_latency_ms = 5.0;
-  /// Sleep each query's modeled stall for real, so wall-clock throughput
-  /// reflects overlapped I/O. Keep off for pure-CPU tests.
+  /// Sleep each request's modeled stall for real, once, after it
+  /// executes, so wall-clock throughput reflects I/O waits that workers
+  /// overlap. Keep off for pure-CPU tests.
   bool simulate_io_stalls = false;
-  /// Which stall model charges modeled I/O time (DESIGN.md §13). With
-  /// kOverlapped, queries charge each turn's max per-probe miss delta
-  /// instead of the per-miss sum, and simulate_io_stalls sleeps per turn
-  /// at the barrier (the residual — seeding misses charged serially — is
-  /// slept after the query). kSerial keeps every query byte-stable with
-  /// the pre-§13 behavior.
-  StallModel stall_model = StallModel::kSerial;
-  /// Physically replay each turn's drained buffer misses as one
-  /// DiskManager::ReadPagesBatch (kIoBatch trace span; mcn.io.batch_*
-  /// counters). Effective only on single-shard (K = 1) services whose
-  /// shard-0 disk has a file backend attached
-  /// (DiskManager::AttachFileBackend) — otherwise a silent no-op.
-  /// Replayed pages double-count in mcn.disk.page_reads next to the
-  /// pool's logical fetches; the batch_* counters isolate the batched
-  /// share.
-  bool replay_batch_io = false;
   /// Cross-query result sharing (DESIGN.md §13): > 0 bounds an LRU cache
   /// of finished one-shot results keyed by canonical spec + network
   /// epoch, with single-flight coalescing of concurrent identical
@@ -432,7 +390,6 @@ class QueryService {
     obs::Counter* cache_hit = nullptr;
     obs::Counter* cache_miss = nullptr;
     obs::Counter* cache_coalesced = nullptr;
-    obs::Counter* overlapped_misses = nullptr;
     obs::Counter* cpu_micros = nullptr;
     obs::Counter* stall_micros = nullptr;
     obs::Counter* queue_micros = nullptr;
@@ -475,14 +432,6 @@ class QueryService {
   /// Runs one session batch (creating the session's engine on first use).
   QueryResult RunSessionBatch(Session& session, int n,
                               const CancelToken* cancel);
-  /// Arms `scheduler`'s turn-level I/O (DESIGN.md §13) when the stall
-  /// model or batched replay asks for it: per-probe miss sampling on the
-  /// worker's reader slots, the per-turn modeled sleep, and the replay of
-  /// each turn's misses, whose recording pools are appended to
-  /// `recording` for the caller to disarm.
-  void ArmTurnIo(Worker& worker, bool pooled,
-                 expand::ParallelProbeScheduler* scheduler,
-                 std::vector<storage::BufferPool*>* recording);
 
   /// Removes idle sessions past the idle timeout from the table (runs on
   /// every OpenSession). The removed sessions are moved into `evicted`, so

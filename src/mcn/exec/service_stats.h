@@ -1,10 +1,10 @@
-// Service-level statistics for the concurrent query executor: per-query
-// latency samples aggregated into nearest-rank percentiles plus throughput
-// over the measurement window (DESIGN.md §6).
+// Service-level statistics for the concurrent query executor: a view over
+// the service's metrics registry (latency percentiles from its histogram,
+// throughput over the measurement window), plus the nearest-rank
+// percentile that benches apply to raw latency samples (DESIGN.md §6).
 #ifndef MCN_EXEC_SERVICE_STATS_H_
 #define MCN_EXEC_SERVICE_STATS_H_
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -77,12 +77,6 @@ struct ServiceStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_coalesced = 0;
-  /// Overlapped-I/O slice (DESIGN.md §13): summed per-turn-max charge
-  /// units (zero under StallModel::kSerial) and batched replay totals
-  /// from the disk layer (zero without replay_batch_io + a file backend).
-  uint64_t overlapped_misses = 0;
-  uint64_t io_batches = 0;
-  uint64_t io_batch_pages = 0;
   double cpu_seconds = 0;    ///< summed per-query execution time
   double stall_seconds = 0;  ///< summed modeled I/O stall time
   double wall_seconds = 0;   ///< measurement window (service uptime)
@@ -92,14 +86,6 @@ struct ServiceStats {
   double qps = 0;  ///< (completed + failed) / wall_seconds
   /// One row per shard (a single row when K = 1).
   std::vector<ShardServiceStats> per_shard;
-
-  /// Fills the percentile fields from raw latency samples (milliseconds).
-  void ComputePercentiles(std::vector<double>& latency_ms_samples) {
-    std::sort(latency_ms_samples.begin(), latency_ms_samples.end());
-    latency_p50_ms = PercentileSorted(latency_ms_samples, 50);
-    latency_p95_ms = PercentileSorted(latency_ms_samples, 95);
-    latency_p99_ms = PercentileSorted(latency_ms_samples, 99);
-  }
 };
 
 /// Canonical instrument names of the service registry (DESIGN.md §11).
@@ -123,7 +109,6 @@ inline constexpr char kCacheCoalesced[] = "mcn.service.cache_coalesced";
 inline constexpr char kCacheEvictions[] = "mcn.service.cache_evictions";
 inline constexpr char kCacheEntries[] = "mcn.service.cache_entries";
 inline constexpr char kNetworkEpoch[] = "mcn.service.network_epoch";
-inline constexpr char kOverlappedMisses[] = "mcn.service.overlapped_misses";
 inline constexpr char kCpuMicros[] = "mcn.service.cpu_micros";
 inline constexpr char kStallMicros[] = "mcn.service.stall_micros";
 inline constexpr char kQueueMicros[] = "mcn.service.queue_micros";
@@ -133,9 +118,9 @@ inline constexpr char kWallSeconds[] = "mcn.service.wall_seconds";
 inline constexpr char kNumShards[] = "mcn.service.num_shards";
 inline constexpr char kDiskPageReads[] = "mcn.disk.page_reads";
 inline constexpr char kDiskPageWrites[] = "mcn.disk.page_writes";
-inline constexpr char kIoBatchReads[] = "mcn.io.batch_reads";
-inline constexpr char kIoBatchPages[] = "mcn.io.batch_pages";
-inline constexpr char kIoBatchMaxPages[] = "mcn.io.batch_max_pages";
+inline constexpr char kDiskBatchReads[] = "mcn.io.batch_reads";
+inline constexpr char kDiskBatchPages[] = "mcn.io.batch_pages";
+inline constexpr char kDiskBatchMaxPages[] = "mcn.io.batch_max_pages";
 
 inline std::string Shard(int shard, const char* suffix) {
   return "mcn.shard" + std::to_string(shard) + "." + suffix;
@@ -163,9 +148,6 @@ inline ServiceStats ServiceStatsFromSnapshot(const obs::Snapshot& snap) {
   stats.cache_hits = snap.CounterValue(mn::kCacheHit);
   stats.cache_misses = snap.CounterValue(mn::kCacheMiss);
   stats.cache_coalesced = snap.CounterValue(mn::kCacheCoalesced);
-  stats.overlapped_misses = snap.CounterValue(mn::kOverlappedMisses);
-  stats.io_batches = snap.CounterValue(mn::kIoBatchReads);
-  stats.io_batch_pages = snap.CounterValue(mn::kIoBatchPages);
   stats.cpu_seconds =
       static_cast<double>(snap.CounterValue(mn::kCpuMicros)) / 1e6;
   stats.stall_seconds =

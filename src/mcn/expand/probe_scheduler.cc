@@ -1,11 +1,6 @@
 #include "mcn/expand/probe_scheduler.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
-
 #include "mcn/common/macros.h"
-#include "mcn/storage/page.h"
 
 namespace mcn::expand {
 
@@ -79,43 +74,6 @@ void ParallelProbeScheduler::RunPooled(size_t n) {
   }
   MutexLock lock(&mu_);
   while (outstanding_ != 0) cv_.Wait(&mu_);
-}
-
-Status ParallelProbeScheduler::FinishTurnIo() {
-  uint64_t turn_max = 0;
-  for (size_t k = 0; k < width_; ++k) {
-    stats_.probe_misses += probes_[k].miss_delta;
-    turn_max = std::max(turn_max, probes_[k].miss_delta);
-  }
-  stats_.overlapped_misses += turn_max;
-  if (io_.batch_disk != nullptr && io_.drain_missed != nullptr) {
-    batch_ids_.clear();
-    io_.drain_missed(&batch_ids_);
-    if (!batch_ids_.empty()) {
-      obs::TraceSpan batch_span(obs::EventType::kIoBatch,
-                                static_cast<uint64_t>(batch_ids_.size()));
-      batch_span.set_arg1(turn_max);
-      batch_buf_.resize(batch_ids_.size() * storage::kPageSize);
-      batch_ptrs_.resize(batch_ids_.size());
-      for (size_t i = 0; i < batch_ids_.size(); ++i) {
-        batch_ptrs_[i] = batch_buf_.data() + i * storage::kPageSize;
-      }
-      MCN_RETURN_IF_ERROR(
-          io_.batch_disk->ReadPagesBatch(batch_ids_, batch_ptrs_));
-      ++stats_.io_batches;
-      stats_.io_batch_pages += batch_ids_.size();
-    }
-  }
-  if (turn_max > 0 && io_.sleep_latency_ms > 0) {
-    obs::TraceSpan stall_span(obs::EventType::kStall, turn_max);
-    const auto start = std::chrono::steady_clock::now();
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        static_cast<double>(turn_max) * io_.sleep_latency_ms));
-    stats_.slept_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-  }
-  return Status::OK();
 }
 
 }  // namespace mcn::expand

@@ -37,7 +37,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -50,7 +49,6 @@
 #include "mcn/expand/engines.h"
 #include "mcn/expand/striped_fetch.h"
 #include "mcn/obs/trace.h"
-#include "mcn/storage/disk_manager.h"
 
 namespace mcn::expand {
 
@@ -73,45 +71,7 @@ class ParallelProbeScheduler {
     uint64_t probes = 0;
     uint64_t pooled_probes = 0;  ///< probes executed on the pool
     uint64_t max_width = 0;      ///< widest turn
-    // Turn-level I/O accounting (DESIGN.md §13; all zero unless SetTurnIo
-    // armed the scheduler).
-    uint64_t probe_misses = 0;      ///< sum of per-probe miss deltas
-    uint64_t overlapped_misses = 0; ///< sum over turns of max probe delta
-    uint64_t io_batches = 0;        ///< batched turn replays issued
-    uint64_t io_batch_pages = 0;    ///< pages replayed through batches
-    double slept_seconds = 0;       ///< measured per-turn modeled sleeps
   };
-
-  /// Per-turn overlapped-I/O options (DESIGN.md §13). With slot_misses
-  /// set, each probe samples its reader slot's cumulative buffer misses
-  /// on the executing thread (before/after — per-worker probes run
-  /// sequentially, so the delta is well defined), and each turn
-  /// accumulates the max delta into Stats::overlapped_misses: the
-  /// overlapped stall model's unit of charge, replacing the serial
-  /// model's per-miss sum. Optionally the barrier sleeps the turn's max
-  /// (sleep_latency_ms) and/or physically replays the turn's misses as
-  /// one DiskManager::ReadPagesBatch (drain_missed + batch_disk).
-  struct TurnIoOptions {
-    /// Cumulative buffer misses visible to a reader slot (0 = caller
-    /// thread, worker + 1 = pool workers). Called from the executing
-    /// thread; must only touch that slot's thread-confined pool.
-    std::function<uint64_t(int reader_slot)> slot_misses;
-    /// Appends every reader slot's logged missed PageIds (clearing the
-    /// logs). Called at the barrier on the caller thread — the barrier's
-    /// happens-before edges make the cross-slot drain safe.
-    std::function<void(std::vector<storage::PageId>*)> drain_missed;
-    /// Disk to replay drained misses on (null = no physical replay).
-    storage::DiskManager* batch_disk = nullptr;
-    /// Modeled per-miss stall slept at each barrier for the turn's max
-    /// delta (<= 0 disables the sleep; the service then charges stall
-    /// without simulating it).
-    double sleep_latency_ms = 0.0;
-
-    bool enabled() const { return slot_misses != nullptr; }
-  };
-  /// Arms (or disarms, with a default-constructed value) turn-level I/O.
-  /// Call between turns only.
-  void SetTurnIo(TurnIoOptions io) { io_ = std::move(io); }
 
   /// `engine` must be backed by a thread-safe provider when `pool` is not
   /// null (pass its StripedCachedFetch as `striped` so pooled probes bind
@@ -159,8 +119,7 @@ class ParallelProbeScheduler {
     bool failed = false;  ///< `status` holds this turn's error
     std::optional<FacilityAtCost> nn;
     std::vector<ExpansionEvent> events;
-    uint64_t miss_delta = 0;  ///< this probe's buffer-miss delta (turn I/O)
-    Status status;            ///< meaningful only when `failed`
+    Status status;  ///< meaningful only when `failed`
   };
 
   /// Executes probe `slot` of the current turn; `reader_slot` selects the
@@ -172,9 +131,6 @@ class ParallelProbeScheduler {
   /// Dispatches the turn's first `n` probes to the pool and waits at the
   /// barrier.
   void RunPooled(size_t n);
-  /// Barrier-time turn I/O: max-delta accounting, optional batched replay
-  /// (kIoBatch span) and optional modeled sleep. Caller thread only.
-  Status FinishTurnIo();
 
   // What every turn touches comes first, to share cache lines.
   NnEngine* engine_;
@@ -186,7 +142,6 @@ class ParallelProbeScheduler {
   /// One slot per expansion, allocated once; a turn uses the first width_.
   std::vector<Probe> probes_;
   Stats stats_;
-  TurnIoOptions io_;
   /// The owning query's trace context, captured from the caller thread at
   /// each pooled turn and re-installed on probe-pool threads so per-probe
   /// fetch events attribute to the right query (obs/trace.h). Written
@@ -197,24 +152,15 @@ class ParallelProbeScheduler {
   CondVar cv_;
   /// Barrier counter: probes of the current turn not yet finished.
   size_t outstanding_ MCN_GUARDED_BY(mu_) = 0;
-  // Scratch for batched turn replay (reused across turns).
-  std::vector<storage::PageId> batch_ids_;
-  std::vector<std::byte> batch_buf_;
-  std::vector<std::byte*> batch_ptrs_;
 };
 
 // The turn path is defined inline: a width-1 turn wraps one engine call,
 // and the call boundaries would be a measurable share of its cost
-// (DESIGN.md §7). Pool dispatch and turn I/O stay out of line.
+// (DESIGN.md §7). Pool dispatch stays out of line.
 
 inline void ParallelProbeScheduler::Execute(uint32_t slot, int reader_slot) {
   Probe& probe = probes_[slot];
   if (striped_ != nullptr) StripedCachedFetch::BindWorkerSlot(reader_slot);
-  // With turn I/O armed, bracket the probe with its reader slot's miss
-  // counter. Probes sharing a worker run sequentially on that thread, so
-  // the delta is exactly this probe's misses.
-  const bool sample = io_.slot_misses != nullptr;
-  const uint64_t before = sample ? io_.slot_misses(reader_slot) : 0;
   if (op_ == Op::kNextNN) {
     auto nn = engine_->NextNN(probe.expansion);
     if (nn.ok()) {
@@ -235,7 +181,6 @@ inline void ParallelProbeScheduler::Execute(uint32_t slot, int reader_slot) {
       if (ev->type == ExpansionEvent::Type::kExhausted) break;
     }
   }
-  if (sample) probe.miss_delta = io_.slot_misses(reader_slot) - before;
 }
 
 inline Status ParallelProbeScheduler::RunTurn(Op op,
@@ -274,7 +219,6 @@ inline Status ParallelProbeScheduler::RunTurn(Op op,
     probe.failed = false;
     probe.nn.reset();
     probe.events.clear();
-    probe.miss_delta = 0;
   }
 
   if (pooled) {
@@ -286,9 +230,6 @@ inline Status ParallelProbeScheduler::RunTurn(Op op,
 
   for (size_t k = 0; k < n; ++k) {
     if (probes_[k].failed) return probes_[k].status;
-  }
-  if (io_.enabled()) {
-    MCN_RETURN_IF_ERROR(FinishTurnIo());
   }
   return Status::OK();
 }

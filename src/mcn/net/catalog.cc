@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "mcn/common/macros.h"
+#include "mcn/graph/cost_vector.h"
 #include "mcn/storage/persistence.h"
 
 namespace mcn::net {
@@ -77,6 +78,16 @@ Result<NetworkFiles> LoadCatalog(const std::string& path) {
       return Status::Corruption(std::string("catalog misses key ") + key);
     }
   }
+  // Every CostVector of a query over this network is sized by num_costs,
+  // and a CostVector holds at most kMaxCostTypes values inline. Checked
+  // before the narrowing cast, so 2^32 + 4 cannot pass as 4.
+  const uint64_t num_costs = kv["num_costs"];
+  if (num_costs < 1 ||
+      num_costs > static_cast<uint64_t>(graph::kMaxCostTypes)) {
+    return Status::Corruption(
+        path + ": num_costs " + std::to_string(num_costs) +
+        " outside [1, " + std::to_string(graph::kMaxCostTypes) + "]");
+  }
   NetworkFiles files;
   files.adjacency_file = static_cast<storage::FileId>(kv["adjacency_file"]);
   files.facility_file = static_cast<storage::FileId>(kv["facility_file"]);
@@ -91,7 +102,7 @@ Result<NetworkFiles> LoadCatalog(const std::string& path) {
   files.num_nodes = static_cast<uint32_t>(kv["num_nodes"]);
   files.num_edges = static_cast<uint32_t>(kv["num_edges"]);
   files.num_facilities = static_cast<uint32_t>(kv["num_facilities"]);
-  files.num_costs = static_cast<int>(kv["num_costs"]);
+  files.num_costs = static_cast<int>(num_costs);
   files.total_pages = kv["total_pages"];
   if (kv.count("lm_landmarks") != 0 && kv["lm_landmarks"] > 0) {
     for (const char* key : {"lm_file", "lm_nodes", "lm_costs",

@@ -32,8 +32,6 @@ const char* EventTypeName(EventType type) {
       return "stall";
     case EventType::kProbePrune:
       return "probe_prune";
-    case EventType::kIoBatch:
-      return "io_batch";
   }
   return "unknown";
 }
@@ -136,10 +134,6 @@ void AppendArgs(std::string* out, const TraceEvent& e) {
     case EventType::kProbePrune:
       a0 = "cut";
       a1 = "checked";
-      break;
-    case EventType::kIoBatch:
-      a0 = "pages";
-      a1 = "turn_misses";
       break;
     case EventType::kProbeFetch:
       // Decoded flag bits: the hit/miss + local/remote attribution the

@@ -57,8 +57,6 @@ enum class EventType : uint8_t {
   kStall,           ///< modeled I/O stall sleep (arg0 = misses)
   kProbePrune,      ///< prune-index cuts in one query (arg0 = cut,
                     ///< arg1 = checked)
-  kIoBatch,         ///< one batched turn replay (arg0 = pages,
-                    ///< arg1 = turn max misses)
 };
 const char* EventTypeName(EventType type);
 

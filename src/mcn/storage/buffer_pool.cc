@@ -122,7 +122,6 @@ Result<BufferPool::PageGuard> BufferPool::Fetch(PageId id) {
   }
   frame.data = read.value();
   ++stats_.misses;
-  if (record_misses_) missed_.push_back(id);
   table_.Insert(id.Pack(), fi);
   TrimToCapacity();
   return PageGuard(this, fi);

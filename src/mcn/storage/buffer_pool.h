@@ -88,18 +88,6 @@ class BufferPool {
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = Stats(); }
 
-  /// Miss log for batched turn replay (DESIGN.md §13): when enabled, every
-  /// miss appends its PageId; DrainMissedPages hands the accumulated list
-  /// over (and clears it). Same thread-confinement as the pool itself —
-  /// the probe scheduler drains at a turn barrier, which happens-after
-  /// every probe of the turn.
-  void set_record_misses(bool on) { record_misses_ = on; }
-  std::vector<PageId> DrainMissedPages() {
-    std::vector<PageId> out;
-    out.swap(missed_);
-    return out;
-  }
-
   /// Evicts every unpinned frame (e.g. between benchmark runs).
   void Clear();
 
@@ -138,8 +126,6 @@ class BufferPool {
   uint32_t lru_head_ = kNullFrame;  ///< least recently used
   uint32_t lru_tail_ = kNullFrame;
   Stats stats_;
-  bool record_misses_ = false;
-  std::vector<PageId> missed_;
 };
 
 }  // namespace mcn::storage

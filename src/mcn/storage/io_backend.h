@@ -4,8 +4,7 @@
 // *physical* I/O plane behind `DiskManager::ReadPagesBatch`: it serves
 // kPageSize reads at arbitrary byte offsets of one on-disk image file
 // (the MCNDISK1 spill written at attach time), completing a whole batch
-// before returning — which is exactly the per-turn overlapped fetch the
-// ParallelProbeScheduler issues at a turn barrier.
+// before returning.
 //
 // Two real implementations behind one kind switch:
 //
@@ -21,7 +20,7 @@
 //
 // kMemory is DiskManager's native mode (no backend attached) and is never
 // a valid argument to Open; it exists so call sites can name all three
-// states of the runtime switch (`MCN_IO_BACKEND=auto|preadv|io_uring`).
+// states of DiskManager::io_backend().
 #ifndef MCN_STORAGE_IO_BACKEND_H_
 #define MCN_STORAGE_IO_BACKEND_H_
 

@@ -1,10 +1,9 @@
 // Tests for the file-backed batched read path (DESIGN.md §13): the
 // MCNDISK1 spill written by DiskManager::AttachFileBackend, byte parity of
 // ReadPagesBatch against the in-memory pages for every Fig. 2 file
-// (including the landmark index), the single-read/batched-read counter
-// equivalence contract, the io_uring -> preadv degradation switch, the
-// `file_eio` chaos seam, and the service's per-turn batched replay
-// (ServiceOptions::replay_batch_io).
+// (including the landmark index) over both physical backends, the
+// single-read/batched-read counter equivalence contract, the io_uring ->
+// preadv degradation switch, and the `file_eio` chaos seam.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,11 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "mcn/api/query_spec.h"
 #include "mcn/common/fault_injector.h"
 #include "mcn/common/macros.h"
-#include "mcn/common/random.h"
-#include "mcn/exec/query_service.h"
 #include "mcn/gen/workload.h"
 #include "mcn/storage/disk_manager.h"
 #include "mcn/storage/io_backend.h"
@@ -30,6 +26,23 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+/// The physical backends the byte-parity and counter tests run over.
+/// kIoUring comes up as kPreadv where the kernel refuses a ring, so each
+/// leg prints the backend that actually served it.
+constexpr storage::IoBackendKind kFileBackends[] = {
+    storage::IoBackendKind::kPreadv, storage::IoBackendKind::kIoUring};
+
+/// Attaches `requested` to `disk` and logs the kind that came up.
+void AttachBackend(storage::DiskManager& disk, const std::string& path,
+                   storage::IoBackendKind requested) {
+  const Status attached = disk.AttachFileBackend(path, requested);
+  ASSERT_TRUE(attached.ok()) << attached.ToString();
+  std::printf("requested %s, running %s\n",
+              storage::IoBackendKindName(requested),
+              storage::IoBackendKindName(disk.io_backend()));
+  ASSERT_NE(disk.io_backend(), storage::IoBackendKind::kMemory);
 }
 
 /// A built instance whose disk carries every Fig. 2 file plus the
@@ -81,39 +94,41 @@ TEST(IoBackendTest, AttachedImageRoundTripsEveryFileByteIdentical) {
   ASSERT_TRUE(saw_landmark);
 
   const std::string path = TempPath("io_backend_roundtrip.img");
-  ASSERT_TRUE(
-      disk.AttachFileBackend(path, storage::IoBackendKind::kPreadv).ok());
+  for (const storage::IoBackendKind requested : kFileBackends) {
+    SCOPED_TRACE(storage::IoBackendKindName(requested));
+    ASSERT_NO_FATAL_FAILURE(AttachBackend(disk, path, requested));
 
-  // The spill is a regular MCNDISK1 image: LoadDiskImage must reproduce
-  // every file, name and page byte-for-byte.
-  auto loaded = storage::LoadDiskImage(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->num_files(), disk.num_files());
-  for (storage::FileId f = 0; f < disk.num_files(); ++f) {
-    EXPECT_EQ(loaded->FileName(f).value(), disk.FileName(f).value());
-    ASSERT_EQ(loaded->NumPages(f).value(), disk.NumPages(f).value());
-    for (uint32_t p = 0; p < disk.NumPages(f).value(); ++p) {
-      const std::byte* want = disk.PageData({f, p}).value();
-      const std::byte* got = loaded->PageData({f, p}).value();
-      ASSERT_EQ(std::memcmp(got, want, storage::kPageSize), 0)
-          << "file " << disk.FileName(f).value() << " page " << p;
+    // The spill is a regular MCNDISK1 image: LoadDiskImage must reproduce
+    // every file, name and page byte-for-byte.
+    auto loaded = storage::LoadDiskImage(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded->num_files(), disk.num_files());
+    for (storage::FileId f = 0; f < disk.num_files(); ++f) {
+      EXPECT_EQ(loaded->FileName(f).value(), disk.FileName(f).value());
+      ASSERT_EQ(loaded->NumPages(f).value(), disk.NumPages(f).value());
+      for (uint32_t p = 0; p < disk.NumPages(f).value(); ++p) {
+        const std::byte* want = disk.PageData({f, p}).value();
+        const std::byte* got = loaded->PageData({f, p}).value();
+        ASSERT_EQ(std::memcmp(got, want, storage::kPageSize), 0)
+            << "file " << disk.FileName(f).value() << " page " << p;
+      }
     }
-  }
 
-  // And the physical read path must serve the same bytes: one batch over
-  // every page of every file, compared against the in-memory truth.
-  const std::vector<storage::PageId> ids = AllPages(disk);
-  const auto bufs = FetchBatch(disk, ids);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const std::byte* want = disk.PageData(ids[i]).value();
-    ASSERT_EQ(std::memcmp(bufs[i].data(), want, storage::kPageSize), 0)
-        << "file " << disk.FileName(ids[i].file).value() << " page "
-        << ids[i].page;
-  }
+    // And the physical read path must serve the same bytes: one batch
+    // over every page of every file, compared against the in-memory truth.
+    const std::vector<storage::PageId> ids = AllPages(disk);
+    const auto bufs = FetchBatch(disk, ids);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const std::byte* want = disk.PageData(ids[i]).value();
+      ASSERT_EQ(std::memcmp(bufs[i].data(), want, storage::kPageSize), 0)
+          << "file " << disk.FileName(ids[i].file).value() << " page "
+          << ids[i].page;
+    }
 
-  disk.DetachFileBackend();
-  EXPECT_EQ(disk.io_backend(), storage::IoBackendKind::kMemory);
-  std::remove(path.c_str());
+    disk.DetachFileBackend();
+    EXPECT_EQ(disk.io_backend(), storage::IoBackendKind::kMemory);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(IoBackendTest, BatchedReadsTickCountersLikeSingleReads) {
@@ -149,23 +164,25 @@ TEST(IoBackendTest, BatchedReadsTickCountersLikeSingleReads) {
   EXPECT_EQ(batched.batch_pages, ids.size());
   EXPECT_EQ(batched.batch_max_pages, ids.size());
 
-  // ...and identically with a file backend attached.
+  // ...and identically with either file backend attached.
   const std::string path = TempPath("io_backend_counters.img");
-  ASSERT_TRUE(
-      disk.AttachFileBackend(path, storage::IoBackendKind::kPreadv).ok());
-  disk.ResetStats();
-  FetchBatch(disk, ids);
-  batched = disk.stats();
-  EXPECT_EQ(batched.page_reads, single.page_reads);
-  for (size_t f = 0; f < single.per_file_reads.size(); ++f) {
-    EXPECT_EQ(batched.per_file_reads[f].reads,
-              single.per_file_reads[f].reads)
-        << single.per_file_reads[f].name;
+  for (const storage::IoBackendKind requested : kFileBackends) {
+    SCOPED_TRACE(storage::IoBackendKindName(requested));
+    ASSERT_NO_FATAL_FAILURE(AttachBackend(disk, path, requested));
+    disk.ResetStats();
+    FetchBatch(disk, ids);
+    batched = disk.stats();
+    EXPECT_EQ(batched.page_reads, single.page_reads);
+    for (size_t f = 0; f < single.per_file_reads.size(); ++f) {
+      EXPECT_EQ(batched.per_file_reads[f].reads,
+                single.per_file_reads[f].reads)
+          << single.per_file_reads[f].name;
+    }
+    EXPECT_EQ(batched.batch_reads, 1u);
+    EXPECT_EQ(batched.batch_pages, ids.size());
+    disk.DetachFileBackend();
+    std::remove(path.c_str());
   }
-  EXPECT_EQ(batched.batch_reads, 1u);
-  EXPECT_EQ(batched.batch_pages, ids.size());
-  disk.DetachFileBackend();
-  std::remove(path.c_str());
 }
 
 TEST(IoBackendTest, OpenDegradesIoUringGracefully) {
@@ -302,74 +319,6 @@ TEST(IoBackendTest, FileEioFaultSeamFiresBeforeCounters) {
   FaultInjector::Install(nullptr);
   disk.DetachFileBackend();
   std::remove(path.c_str());
-}
-
-/// Per-query results and the disk's batched-read count of one service run.
-struct ReplayLeg {
-  std::vector<uint64_t> hashes;
-  std::vector<uint64_t> misses;
-  uint64_t batch_reads = 0;
-};
-
-/// Turn-mode skylines (parallelism 1) on a one-worker service over
-/// `instance`, with or without per-turn batched replay.
-ReplayLeg RunReplayLeg(gen::ShardedInstance& instance, bool replay) {
-  instance.storage.ResetStats();
-  exec::ServiceOptions opts;
-  opts.num_workers = 1;
-  opts.pool_frames_per_worker = instance.pool_frames;
-  opts.replay_batch_io = replay;
-  auto service =
-      exec::QueryService::Create(&instance.storage, instance.files, opts)
-          .value();
-  Random rng(31);
-  ReplayLeg leg;
-  for (int i = 0; i < 6; ++i) {
-    api::QuerySpec spec = api::SkylineSpec(instance.RandomQueryLocation(rng));
-    spec.parallelism = 1;
-    exec::QueryResult result = service->Submit(spec).get();
-    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
-    leg.hashes.push_back(result.result_hash);
-    leg.misses.push_back(result.stats.buffer_misses);
-  }
-  leg.batch_reads = service->MetricsSnapshot().CounterValue(
-      exec::metric_names::kIoBatchReads);
-  service->Shutdown();
-  return leg;
-}
-
-// replay_batch_io reads each turn's buffer misses back as one batch through
-// the file backend of a single-disk (K = 1) network, without changing
-// results or logical misses. A K = 4 turn's misses span several disks, so
-// a multi-shard service never replays, even with a backend on shard 0.
-TEST(IoBackendTest, ReplayBatchIoOnlyOnSingleDiskFileBackend) {
-  const gen::ExperimentConfig config = gen::ExperimentConfig().Scaled(0.005);
-
-  auto single = gen::BuildShardedInstance(config, /*num_shards=*/1).value();
-  storage::DiskManager* disk = single->storage.disk(0);
-  const std::string path = TempPath("io_backend_replay.img");
-  ASSERT_TRUE(
-      disk->AttachFileBackend(path, storage::IoBackendKind::kPreadv).ok());
-  ASSERT_EQ(disk->io_backend(), storage::IoBackendKind::kPreadv);
-  const ReplayLeg off = RunReplayLeg(*single, /*replay=*/false);
-  const ReplayLeg on = RunReplayLeg(*single, /*replay=*/true);
-  disk->DetachFileBackend();
-  std::remove(path.c_str());
-  EXPECT_EQ(off.hashes, on.hashes);
-  EXPECT_EQ(off.misses, on.misses);
-  EXPECT_EQ(off.batch_reads, 0u);
-  EXPECT_GT(on.batch_reads, 0u);
-
-  auto four = gen::BuildShardedInstance(config, /*num_shards=*/4).value();
-  storage::DiskManager* shard0 = four->storage.disk(0);
-  const std::string path4 = TempPath("io_backend_replay_k4.img");
-  ASSERT_TRUE(
-      shard0->AttachFileBackend(path4, storage::IoBackendKind::kPreadv).ok());
-  const ReplayLeg sharded = RunReplayLeg(*four, /*replay=*/true);
-  shard0->DetachFileBackend();
-  std::remove(path4.c_str());
-  EXPECT_EQ(sharded.hashes, off.hashes);
-  EXPECT_EQ(sharded.batch_reads, 0u);
 }
 
 }  // namespace

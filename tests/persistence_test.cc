@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "mcn/algo/skyline_query.h"
@@ -100,6 +102,38 @@ TEST(PersistenceTest, CatalogRejectsBadInput) {
     out << "mcn-catalog-v1\nbroken line without equals\n";
   }
   EXPECT_FALSE(net::LoadCatalog(path).ok());
+}
+
+// Every CostVector of a query is sized by the catalog's num_costs, so a
+// value outside [1, kMaxCostTypes] must be rejected at load, before it is
+// narrowed to int (4294967300 would otherwise pass as 4).
+TEST(PersistenceTest, CatalogRejectsOutOfRangeCostTypes) {
+  test::DiskFixture fx(test::TinyGraph(),
+                       test::TinyFacilities(test::TinyGraph()), 16);
+  const net::NetworkFiles& files = fx.files.shards[0];
+  const std::string path = TempPath("cost_types.cat");
+  ASSERT_TRUE(net::SaveCatalog(files, path).ok());
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::string line = "num_costs=" + std::to_string(files.num_costs);
+  const size_t at = text.find(line + "\n");
+  ASSERT_NE(at, std::string::npos);
+  for (const char* bad : {"0", "9", "4294967300"}) {
+    std::string rewritten = text;
+    rewritten.replace(at, line.size(), std::string("num_costs=") + bad);
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << rewritten;
+    }
+    const Status status = net::LoadCatalog(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kCorruption)
+        << "num_costs=" << bad << ": " << status.ToString();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(PersistenceTest, FullDatabaseRoundTripAnswersQueries) {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -337,6 +338,62 @@ TEST(QueryServiceTest, WarmCacheModeReducesMisses) {
   ASSERT_TRUE(second.status.ok());
   EXPECT_EQ(first.result_hash, second.result_hash);
   EXPECT_LT(second.stats.buffer_misses, first.stats.buffer_misses);
+}
+
+// The service's one I/O charge: stall = buffer_misses x io_latency_ms,
+// slept once per request after it executes. The sleep is part of the
+// request's latency, never of its queue wait, and the registry books the
+// same stall the results report.
+TEST(QueryServiceTest, SleptStallIsChargedPerMissNotAsQueueWait) {
+  auto instance =
+      gen::BuildShardedInstance(gen::ExperimentConfig().Scaled(0.02), 1)
+          .value();
+  ServiceOptions opts;
+  opts.num_workers = 1;
+  opts.pool_frames_per_worker = instance->pool_frames;
+  opts.simulate_io_stalls = true;
+  opts.io_latency_ms = 0.01;
+  auto service =
+      QueryService::Create(&instance->storage, instance->files, opts).value();
+
+  // Sequential requests: each one finds the worker idle.
+  Random rng(29);
+  std::vector<QueryResult> results;
+  for (int i = 0; i < 4; ++i) {
+    results.push_back(
+        service->Submit(api::SkylineSpec(instance->RandomQueryLocation(rng)))
+            .get());
+  }
+  const SessionId session =
+      service
+          ->OpenSession(api::IncrementalSpec(
+              instance->RandomQueryLocation(rng), 8,
+              test::TestWeights(instance->graph.num_costs(), 3)))
+          .value();
+  results.push_back(service->SessionNext(session, 8).get());
+  results.push_back(service->SessionNext(session, 8).get());
+
+  uint64_t stall_micros = 0;
+  int heavy = 0;
+  for (size_t i = 0; i < results.size(); ++i) {
+    const QueryStats& stats = results[i].stats;
+    SCOPED_TRACE("request " + std::to_string(i));
+    ASSERT_TRUE(results[i].status.ok()) << results[i].status.ToString();
+    EXPECT_EQ(stats.stall_seconds, static_cast<double>(stats.buffer_misses) *
+                                       opts.io_latency_ms / 1000.0);
+    // 1 ns of slack absorbs double rounding; the sleep overshoots anyway.
+    EXPECT_GE(stats.latency_seconds + 1e-9,
+              stats.queue_seconds + stats.exec_seconds + stats.stall_seconds);
+    if (stats.buffer_misses >= 200) {
+      ++heavy;
+      EXPECT_LT(stats.queue_seconds, stats.stall_seconds / 4)
+          << stats.buffer_misses << " misses";
+    }
+    stall_micros += static_cast<uint64_t>(stats.stall_seconds * 1e6);
+  }
+  EXPECT_GT(heavy, 0);
+  EXPECT_EQ(service->MetricsSnapshot().CounterValue(metric_names::kStallMicros),
+            stall_micros);
 }
 
 }  // namespace

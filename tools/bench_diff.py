@@ -19,12 +19,11 @@ by row (matched by the `param` value):
     are ignored entirely — only the lsa/cea measurement objects are
     compared, so obs counters may drift freely while a result-hash
     mismatch still hard-fails;
-  * rows may carry "stall_model" / "io_backend" tags (DESIGN.md §13). When
-    BOTH sides of a matched row carry a tag and the values differ, the
-    comparison is refused (exit 2): modeled time under serial vs
-    overlapped stall charging — or wall time on memory vs a file backend —
-    are different quantities, not regressions. A tag missing on either
-    side compares normally (pre-§13 baselines carry no tags);
+  * rows may carry an "io_backend" tag (DESIGN.md §5). When BOTH sides of
+    a matched row carry it and the values differ, the comparison is
+    refused (exit 2): wall time on memory vs a file backend are different
+    quantities, not regressions. A tag missing on either side compares
+    normally (older baselines carry no tag);
   * --require-figs makes a regen run fail LOUDLY when expected figures are
     missing from the *current* file: each comma-separated entry must be a
     substring of at least one current figure title. A bench binary that
@@ -33,7 +32,7 @@ by row (matched by the `param` value):
     silence into a non-zero exit.
 
 Exit codes: 0 clean, 1 result-hash mismatch or missing required figure,
-2 usage/schema error or refused cross-model/cross-backend comparison.
+2 usage/schema error or refused cross-backend comparison.
 """
 
 import argparse
@@ -113,17 +112,16 @@ def main():
         for param in sorted(set(c_rows) - set(b_rows)):
             print(f"   {param:<12} | added row")
         for param in [p for p in b_rows if p in c_rows]:
-            # Refuse cross-model / cross-backend comparisons (see module
-            # docstring): both sides tagged + different tag = exit 2.
-            for tag in ("stall_model", "io_backend"):
-                b_tag = b_rows[param].get(tag)
-                c_tag = c_rows[param].get(tag)
-                if b_tag and c_tag and b_tag != c_tag:
-                    print(f"error: {title!r} row {param!r}: refusing to "
-                          f"compare {tag} {b_tag!r} (baseline) against "
-                          f"{c_tag!r} (current) — rerun both records "
-                          f"under the same configuration", file=sys.stderr)
-                    sys.exit(2)
+            # Refuse cross-backend comparisons (see module docstring):
+            # both sides tagged + different tag = exit 2.
+            b_tag = b_rows[param].get("io_backend")
+            c_tag = c_rows[param].get("io_backend")
+            if b_tag and c_tag and b_tag != c_tag:
+                print(f"error: {title!r} row {param!r}: refusing to "
+                      f"compare io_backend {b_tag!r} (baseline) against "
+                      f"{c_tag!r} (current) — rerun both records "
+                      f"under the same configuration", file=sys.stderr)
+                sys.exit(2)
             for algo in ALGOS:
                 b, c = b_rows[param].get(algo), c_rows[param].get(algo)
                 if b is None or c is None:

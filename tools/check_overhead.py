@@ -45,7 +45,6 @@ DIAG_COUNTERS = (
     "mcn.service.cache_hit",
     "mcn.service.cache_miss",
     "mcn.service.cache_coalesced",
-    "mcn.service.overlapped_misses",
     "mcn.io.batch_reads",
     "mcn.io.batch_pages",
 )

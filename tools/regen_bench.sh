@@ -6,9 +6,12 @@
 # order. Usage, from the repo root (build/ configured for Release):
 #
 #   cmake --build build -j --target bench_fig08a_skyline_facilities \
-#       bench_fig10a_topk_facilities bench_service_throughput \
+#       bench_fig08b_skyline_costtypes bench_fig09a_skyline_distribution \
+#       bench_fig09b_skyline_buffer bench_fig10a_topk_facilities \
+#       bench_fig10b_topk_costtypes bench_fig11a_topk_distribution \
+#       bench_fig11b_topk_buffer bench_fig12_topk_k bench_service_throughput \
 #       bench_parallel_expansion bench_shard_scaling bench_wire_throughput \
-#       bench_fault_recovery bench_prune_index bench_io_overlap
+#       bench_fault_recovery bench_prune_index
 #   tools/regen_bench.sh [output=BENCH_current.json]
 #
 # Diff against the tracked baseline with:
@@ -24,20 +27,26 @@ trap 'rm -rf "$tmp"' EXIT
 
 benches=(
   bench_fig08a_skyline_facilities
+  bench_fig08b_skyline_costtypes
+  bench_fig09a_skyline_distribution
+  bench_fig09b_skyline_buffer
   bench_fig10a_topk_facilities
+  bench_fig10b_topk_costtypes
+  bench_fig11a_topk_distribution
+  bench_fig11b_topk_buffer
+  bench_fig12_topk_k
   bench_service_throughput
   bench_parallel_expansion
   bench_shard_scaling
   bench_wire_throughput
   bench_fault_recovery
   bench_prune_index
-  bench_io_overlap
 )
 
 # One entry per bench above: the figure-title substring the merged JSON
 # must contain. Keeps a gate-aborted bench (set -e stops before the merge,
 # or a stale output file survives) from silently shipping as "regenerated".
-required_figs="Figure 8(a),Figure 10(a),Service throughput,Service result cache,Parallel d-expansion,Shard scaling,Wire throughput,Fault recovery,Prune index,Overlapped I/O"
+required_figs="Figure 8(a),Figure 8(b),Figure 9(a),Figure 9(b),Figure 10(a),Figure 10(b),Figure 11(a),Figure 11(b),Figure 12,Service throughput,Service result cache,Parallel d-expansion,Shard scaling,Wire throughput,Fault recovery,Prune index"
 
 for bench in "${benches[@]}"; do
   echo "== $bench =="
