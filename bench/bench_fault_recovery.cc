@@ -49,7 +49,6 @@
 #include "mcn/common/random.h"
 #include "mcn/common/stopwatch.h"
 #include "mcn/exec/query_service.h"
-#include "mcn/exec/service_stats.h"
 #include "mcn/gen/workload.h"
 
 namespace mcn::bench {
@@ -193,9 +192,9 @@ PhaseOutcome DrivePhase(int port, int num_clients,
   }
   std::sort(all_rtts.begin(), all_rtts.end());
   outcome.metrics.queries = static_cast<int>(specs.size()) * num_clients;
-  outcome.metrics.latency_p50_ms = exec::PercentileSorted(all_rtts, 50);
-  outcome.metrics.latency_p95_ms = exec::PercentileSorted(all_rtts, 95);
-  outcome.metrics.latency_p99_ms = exec::PercentileSorted(all_rtts, 99);
+  outcome.metrics.latency_p50_ms = PercentileSorted(all_rtts, 50);
+  outcome.metrics.latency_p95_ms = PercentileSorted(all_rtts, 95);
+  outcome.metrics.latency_p99_ms = PercentileSorted(all_rtts, 99);
   outcome.metrics.qps =
       static_cast<double>(outcome.metrics.queries) / wall_seconds;
   // All three phases prove (hash-for-hash) equality with the reference,

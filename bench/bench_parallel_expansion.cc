@@ -34,7 +34,6 @@
 #include "mcn/common/random.h"
 #include "mcn/common/stopwatch.h"
 #include "mcn/exec/expansion_executor.h"
-#include "mcn/exec/service_stats.h"
 #include "mcn/expand/probe_scheduler.h"
 #include "mcn/gen/workload.h"
 
@@ -95,9 +94,9 @@ PointRun RunPoint(gen::ShardedInstance& instance, int parallelism,
   run.metrics.result_size /= static_cast<double>(locations.size());
 
   std::sort(latencies_ms.begin(), latencies_ms.end());
-  run.metrics.latency_p50_ms = exec::PercentileSorted(latencies_ms, 50);
-  run.metrics.latency_p95_ms = exec::PercentileSorted(latencies_ms, 95);
-  run.metrics.latency_p99_ms = exec::PercentileSorted(latencies_ms, 99);
+  run.metrics.latency_p50_ms = PercentileSorted(latencies_ms, 50);
+  run.metrics.latency_p95_ms = PercentileSorted(latencies_ms, 95);
+  run.metrics.latency_p99_ms = PercentileSorted(latencies_ms, 99);
   run.metrics.qps = run.metrics.cpu_seconds > 0
                         ? static_cast<double>(locations.size()) /
                               run.metrics.cpu_seconds

@@ -134,13 +134,14 @@ ServiceRun RunService(gen::ShardedInstance& instance, expand::EngineKind kind,
   double wall_seconds = wall.ElapsedSeconds();
   run.metrics.result_size /= static_cast<double>(locations.size());
 
-  exec::ServiceStats stats = (*service)->Snapshot();
-  run.metrics.latency_p50_ms = stats.latency_p50_ms;
-  run.metrics.latency_p95_ms = stats.latency_p95_ms;
-  run.metrics.latency_p99_ms = stats.latency_p99_ms;
+  run.snapshot = (*service)->MetricsSnapshot();
+  const obs::HistogramSnapshot* latency_us =
+      run.snapshot.FindHistogram(exec::metric_names::kLatencyUs);
+  run.metrics.latency_p50_ms = latency_us->ValueAtQuantile(0.50) / 1e3;
+  run.metrics.latency_p95_ms = latency_us->ValueAtQuantile(0.95) / 1e3;
+  run.metrics.latency_p99_ms = latency_us->ValueAtQuantile(0.99) / 1e3;
   run.metrics.qps =
       static_cast<double>(locations.size()) / wall_seconds;
-  run.snapshot = (*service)->MetricsSnapshot();
   (*service)->Shutdown();
   return run;
 }
@@ -240,11 +241,12 @@ ServiceRun RunCacheLeg(gen::ShardedInstance& instance, size_t cache_entries,
   run.metrics.result_size /= static_cast<double>(order.size());
   run.metrics.qps = static_cast<double>(order.size()) / wall_seconds;
 
-  exec::ServiceStats stats = (*service)->Snapshot();
-  run.metrics.latency_p50_ms = stats.latency_p50_ms;
-  run.metrics.latency_p95_ms = stats.latency_p95_ms;
-  run.metrics.latency_p99_ms = stats.latency_p99_ms;
   run.snapshot = (*service)->MetricsSnapshot();
+  const obs::HistogramSnapshot* latency_us =
+      run.snapshot.FindHistogram(exec::metric_names::kLatencyUs);
+  run.metrics.latency_p50_ms = latency_us->ValueAtQuantile(0.50) / 1e3;
+  run.metrics.latency_p95_ms = latency_us->ValueAtQuantile(0.95) / 1e3;
+  run.metrics.latency_p99_ms = latency_us->ValueAtQuantile(0.99) / 1e3;
   (*service)->Shutdown();
   return run;
 }
@@ -381,7 +383,8 @@ int Main() {
   PrintRow("off", c_off, off.snapshot);
   ServiceRun on = RunCacheLeg(**instance, /*cache_entries=*/64, stall_us,
                               env, distinct, order, ref_distinct);
-  exec::ServiceStats on_stats = exec::ServiceStatsFromSnapshot(on.snapshot);
+  namespace mn = exec::metric_names;
+  const uint64_t cache_hits = on.snapshot.CounterValue(mn::kCacheHit);
   AlgoComparison c_on;
   c_on.cea = on.metrics;
   SetNextRowMeta("memory");
@@ -389,7 +392,8 @@ int Main() {
   std::printf(
       "    cache: %" PRIu64 " hits, %" PRIu64 " misses, %" PRIu64
       " coalesced | CEA off %7.2f qps -> on %7.2f qps\n",
-      on_stats.cache_hits, on_stats.cache_misses, on_stats.cache_coalesced,
+      cache_hits, on.snapshot.CounterValue(mn::kCacheMiss),
+      on.snapshot.CounterValue(mn::kCacheCoalesced),
       off.metrics.qps, on.metrics.qps);
   PrintFooter();
 
@@ -399,7 +403,7 @@ int Main() {
       "every replayed response hash identical to single-threaded "
       "execution; cached QPS gain: %.2fx\n",
       cache_speedup);
-  if (on_stats.cache_hits == 0) {
+  if (cache_hits == 0) {
     std::fprintf(stderr, "FAILURE: cached leg served no hits\n");
     return 1;
   }

@@ -132,14 +132,17 @@ RunMetrics RunSharded(gen::ShardedInstance& instance,
   const double wall_seconds = wall.ElapsedSeconds();
   metrics.result_size /= static_cast<double>(locations.size());
 
-  exec::ServiceStats stats = (*service)->Snapshot();
-  metrics.latency_p50_ms = stats.latency_p50_ms;
-  metrics.latency_p95_ms = stats.latency_p95_ms;
-  metrics.latency_p99_ms = stats.latency_p99_ms;
+  namespace mn = exec::metric_names;
+  const obs::Snapshot snap = (*service)->MetricsSnapshot();
+  const obs::HistogramSnapshot* latency_us = snap.FindHistogram(mn::kLatencyUs);
+  metrics.latency_p50_ms = latency_us->ValueAtQuantile(0.50) / 1e3;
+  metrics.latency_p95_ms = latency_us->ValueAtQuantile(0.95) / 1e3;
+  metrics.latency_p99_ms = latency_us->ValueAtQuantile(0.99) / 1e3;
   metrics.qps = static_cast<double>(locations.size()) / wall_seconds;
-  for (const auto& row : stats.per_shard) {
-    metrics.local_fetches += row.local_fetches;
-    metrics.remote_fetches += row.remote_fetches;
+  for (int s = 0; s < instance.storage.num_shards(); ++s) {
+    metrics.local_fetches += snap.CounterValue(mn::Shard(s, "local_fetches"));
+    metrics.remote_fetches +=
+        snap.CounterValue(mn::Shard(s, "remote_fetches"));
   }
   (*service)->Shutdown();
   return metrics;

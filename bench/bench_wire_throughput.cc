@@ -47,7 +47,6 @@
 #include "mcn/common/random.h"
 #include "mcn/common/stopwatch.h"
 #include "mcn/exec/query_service.h"
-#include "mcn/exec/service_stats.h"
 #include "mcn/gen/workload.h"
 #include "mcn/obs/trace.h"
 
@@ -292,9 +291,9 @@ SweepPoint RunClients(int port, int num_clients,
                                      num_clients;
   }
   std::sort(all_rtts.begin(), all_rtts.end());
-  point.metrics.latency_p50_ms = exec::PercentileSorted(all_rtts, 50);
-  point.metrics.latency_p95_ms = exec::PercentileSorted(all_rtts, 95);
-  point.metrics.latency_p99_ms = exec::PercentileSorted(all_rtts, 99);
+  point.metrics.latency_p50_ms = PercentileSorted(all_rtts, 50);
+  point.metrics.latency_p95_ms = PercentileSorted(all_rtts, 95);
+  point.metrics.latency_p99_ms = PercentileSorted(all_rtts, 99);
   point.metrics.qps =
       static_cast<double>(point.metrics.queries) / wall_seconds;
   return point;

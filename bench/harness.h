@@ -20,6 +20,8 @@
 #ifndef MCN_BENCH_HARNESS_H_
 #define MCN_BENCH_HARNESS_H_
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -41,6 +43,20 @@ inline constexpr uint64_t kFnvOffsetBasis = algo::kFnvOffsetBasis;
 
 /// Reads a double from the environment (`fallback` when unset/empty).
 double EnvDouble(const char* name, double fallback);
+
+/// Nearest-rank percentile of `sorted` (ascending); p in [0,100]:
+/// the smallest element with at least p% of the samples <= it,
+/// i.e. sorted[ceil(p/100 * N) - 1]. Returns 0 for an empty sample set.
+inline double PercentileSorted(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  if (p <= 0) return sorted.front();
+  if (p >= 100) return sorted.back();
+  auto rank = static_cast<size_t>(
+      std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
+  if (rank > 0) --rank;
+  if (rank >= sorted.size()) rank = sorted.size() - 1;
+  return sorted[rank];
+}
 
 /// Scale / repetition knobs resolved from the environment.
 struct BenchEnv {

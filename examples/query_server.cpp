@@ -74,7 +74,7 @@ using mcn::api::QueryResponse;
 using mcn::api::QuerySpec;
 using mcn::exec::QueryService;
 using mcn::exec::ServiceOptions;
-using mcn::exec::ServiceStats;
+namespace mn = mcn::exec::metric_names;
 
 namespace {
 
@@ -291,37 +291,48 @@ int RunDemo(QueryService& service, int port, int deadline_ms,
     }
   }
 
-  ServiceStats stats = service.Snapshot();
+  const mcn::obs::Snapshot snap = service.MetricsSnapshot();
+  const uint64_t completed = snap.CounterValue(mn::kCompleted);
+  const uint64_t failed = snap.CounterValue(mn::kFailed);
+  const uint64_t misses = snap.CounterValue(mn::kBufferMisses);
+  const double wall_seconds = snap.GaugeValue(mn::kWallSeconds);
+  const mcn::obs::HistogramSnapshot* latency_us =
+      snap.FindHistogram(mn::kLatencyUs);
   std::printf(
-      "\nservice stats: %llu completed, %llu failed, %llu session batches\n"
-      "  failure model       = %llu rejected (load shed), %llu timed out, "
-      "%llu cancelled\n"
+      "\nservice stats: %" PRIu64 " completed, %" PRIu64 " failed, %" PRIu64
+      " session batches\n"
+      "  failure model       = %" PRIu64 " rejected (load shed), %" PRIu64
+      " timed out, %" PRIu64 " cancelled\n"
       "  latency p50/p95/p99 = %.2f / %.2f / %.2f ms\n"
       "  throughput          = %.1f qps (wall %.2fs)\n"
-      "  buffer misses       = %llu (%.1f per query)\n",
-      static_cast<unsigned long long>(stats.completed),
-      static_cast<unsigned long long>(stats.failed),
-      static_cast<unsigned long long>(stats.session_batches),
-      static_cast<unsigned long long>(stats.rejected),
-      static_cast<unsigned long long>(stats.timed_out),
-      static_cast<unsigned long long>(stats.cancelled),
-      stats.latency_p50_ms, stats.latency_p95_ms, stats.latency_p99_ms,
-      stats.qps, stats.wall_seconds,
-      static_cast<unsigned long long>(stats.buffer_misses),
-      static_cast<double>(stats.buffer_misses) /
-          static_cast<double>(stats.completed ? stats.completed : 1));
+      "  buffer misses       = %" PRIu64 " (%.1f per query)\n",
+      completed, failed, snap.CounterValue(mn::kSessionBatches),
+      snap.CounterValue(mn::kRejected), snap.CounterValue(mn::kTimedOut),
+      snap.CounterValue(mn::kCancelled),
+      latency_us->ValueAtQuantile(0.50) / 1e3,
+      latency_us->ValueAtQuantile(0.95) / 1e3,
+      latency_us->ValueAtQuantile(0.99) / 1e3,
+      wall_seconds > 0 ? static_cast<double>(completed + failed) / wall_seconds
+                       : 0.0,
+      wall_seconds,
+      misses,
+      static_cast<double>(misses) /
+          static_cast<double>(completed ? completed : 1));
 
   // Per-shard table: the requests homed on each tile, and how often their
   // expansions escaped it (the §8 remote-fetch accounting).
   std::printf(
       "\n  shard | completed | misses   | local    | remote   | remote%%\n"
       "  ------+-----------+----------+----------+----------+--------\n");
-  for (const auto& row : stats.per_shard) {
+  for (int s = 0; s < static_cast<int>(snap.GaugeValue(mn::kNumShards));
+       ++s) {
+    const uint64_t local = snap.CounterValue(mn::Shard(s, "local_fetches"));
+    const uint64_t remote = snap.CounterValue(mn::Shard(s, "remote_fetches"));
     std::printf("  %5d | %9" PRIu64 " | %8" PRIu64 " | %8" PRIu64
                 " | %8" PRIu64 " | %6.1f%%\n",
-                row.shard, row.completed, row.buffer_misses,
-                row.local_fetches, row.remote_fetches,
-                100.0 * row.RemoteRatio());
+                s, snap.CounterValue(mn::Shard(s, "completed")),
+                snap.CounterValue(mn::Shard(s, "buffer_misses")), local,
+                remote, 100.0 * mcn::shard::RemoteRatio(local, remote));
   }
   return 0;
 }
@@ -482,12 +493,15 @@ int main(int argc, char** argv) {
                 flight_recorder->recorded(), flight_recorder->slow_logged());
   }
   {
-    ServiceStats stats = (*service)->Snapshot();
+    const mcn::obs::Snapshot snap = (*service)->MetricsSnapshot();
     std::printf("exit stats: %" PRIu64 " completed, %" PRIu64 " failed, "
                 "%" PRIu64 " rejected, %" PRIu64 " timed out, %" PRIu64
                 " cancelled",
-                stats.completed, stats.failed, stats.rejected,
-                stats.timed_out, stats.cancelled);
+                snap.CounterValue(mn::kCompleted),
+                snap.CounterValue(mn::kFailed),
+                snap.CounterValue(mn::kRejected),
+                snap.CounterValue(mn::kTimedOut),
+                snap.CounterValue(mn::kCancelled));
     if (injector != nullptr) {
       std::printf(", %" PRIu64 " faults injected", injector->injected());
     }

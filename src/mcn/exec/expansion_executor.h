@@ -82,8 +82,6 @@ class ExpansionExecutor {
   /// Call between queries.
   void SetHomeShard(shard::ShardId home);
 
-  expand::ProbePool* probe_pool() { return probe_pool_.get(); }
-
  private:
   ExpansionExecutor(shard::ShardedStorage* storage, int parallelism);
 

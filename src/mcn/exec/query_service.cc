@@ -238,6 +238,9 @@ QueryService::QueryService(shard::ShardedStorage* storage,
   // Freeze the shared storage read-only for the service's lifetime; the
   // storage layer DCHECKs any mutation from here on (DESIGN.md §6).
   storage_->BeginConcurrentReads();
+  // The stats window opens here: reads made before, by an earlier service
+  // or by the landmark validation above, are not this service's.
+  ResetStats();
   // One work queue that every worker drains (DESIGN.md §6, §8).
   pool_ = std::make_unique<ThreadPool<Task>>(
       opts_.num_workers, opts_.queue_capacity,
@@ -918,22 +921,25 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
 obs::Snapshot QueryService::MetricsSnapshot() const {
   namespace mn = metric_names;
   obs::Snapshot snap = registry_.TakeSnapshot();
-  // Disk I/O totals, merged across shard disks by the same name-keyed path
-  // the per-file stats use.
-  const storage::DiskManager::Stats disk_io = storage_->MergedStats();
-  snap.AddCounter(mn::kDiskPageReads, disk_io.page_reads);
-  snap.AddCounter(mn::kDiskPageWrites, disk_io.page_writes);
-  // Batched-read slice (DESIGN.md §13): zero rows until a ReadPagesBatch
-  // touches the disk, so the introspection surface is stable either way.
-  snap.AddCounter(mn::kDiskBatchReads, disk_io.batch_reads);
-  snap.AddCounter(mn::kDiskBatchPages, disk_io.batch_pages);
-  snap.AddCounter(mn::kDiskBatchMaxPages, disk_io.batch_max_pages);
-  for (const auto& file : disk_io.per_file_reads) {
-    snap.AddCounter("mcn.disk.file." + file.name + ".reads", file.reads);
+  // The storage's and the cache's counters run for their whole life; the
+  // window's rows are their growth since its baseline. The storage stays
+  // frozen while the service lives, so they only grow. Disk totals are
+  // merged across shard disks by file name.
+  const storage::DiskManager::Stats disk = storage_->MergedStats();
+  MutexLock lock(&window_mu_);
+  const storage::DiskManager::Stats& base = disk_baseline_;
+  snap.AddCounter(mn::kDiskPageReads, disk.page_reads - base.page_reads);
+  snap.AddCounter(mn::kDiskPageWrites, disk.page_writes - base.page_writes);
+  snap.AddCounter(mn::kDiskBatchReads, disk.batch_reads - base.batch_reads);
+  snap.AddCounter(mn::kDiskBatchPages, disk.batch_pages - base.batch_pages);
+  for (const auto& file : disk.per_file_reads) {
+    snap.AddCounter(mn::DiskFileReads(file.name),
+                    file.reads - base.ReadsForFile(file.name));
   }
   if (result_cache_ != nullptr) {
     const ResultCache::Stats cache = result_cache_->stats();
-    snap.AddCounter(mn::kCacheEvictions, cache.evictions);
+    snap.AddCounter(mn::kCacheEvictions,
+                    cache.evictions - evictions_baseline_);
     snap.SetGauge(mn::kCacheEntries, static_cast<double>(cache.entries));
   }
   snap.SetGauge(mn::kNetworkEpoch, static_cast<double>(network_epoch()));
@@ -950,15 +956,13 @@ void QueryService::BumpNetworkEpoch() {
   if (result_cache_ != nullptr) result_cache_->InvalidateAll(next);
 }
 
-ServiceStats QueryService::Snapshot() const {
-  // One merge path (DESIGN.md §11): ServiceStats is a view over the
-  // registry snapshot — nothing is aggregated here that MetricsSnapshot
-  // (and hence the wire introspection) does not also expose.
-  return ServiceStatsFromSnapshot(MetricsSnapshot());
-}
-
 void QueryService::ResetStats() {
   registry_.ResetAll();
+  MutexLock lock(&window_mu_);
+  disk_baseline_ = storage_->MergedStats();
+  if (result_cache_ != nullptr) {
+    evictions_baseline_ = result_cache_->stats().evictions;
+  }
   uptime_.Restart();
 }
 

@@ -34,9 +34,14 @@
 // further NextBest batches from that same engine. The session table
 // is bounded (ServiceOptions::max_sessions) with lazy idle eviction.
 //
-// Workers also feed the service-level aggregation: latency percentiles
-// (p50/p95/p99), QPS, session counters, and per-shard local/remote fetch
-// totals.
+// Statistics (DESIGN.md §11): workers record into the service's
+// obs::Registry under the names in metric_names below — outcomes,
+// failures (rejected, timed out, cancelled), latency histogram, buffer
+// I/O, cache outcomes, and per-shard completions and local/remote
+// fetches. MetricsSnapshot() is the one stats surface: the registry plus
+// the storage's disk reads, the cache's evictions and a few gauges, all
+// counted since construction or the last ResetStats(). Callers, the
+// benches and kGetMetrics read its rows by name.
 #ifndef MCN_EXEC_QUERY_SERVICE_H_
 #define MCN_EXEC_QUERY_SERVICE_H_
 
@@ -60,7 +65,6 @@
 #include "mcn/common/stopwatch.h"
 #include "mcn/common/thread_annotations.h"
 #include "mcn/exec/expansion_executor.h"
-#include "mcn/exec/service_stats.h"
 #include "mcn/exec/thread_pool.h"
 #include "mcn/expand/engines.h"
 #include "mcn/graph/location.h"
@@ -71,6 +75,7 @@
 #include "mcn/shard/sharded_builder.h"
 #include "mcn/shard/sharded_reader.h"
 #include "mcn/shard/sharded_storage.h"
+#include "mcn/storage/disk_manager.h"
 
 namespace mcn::exec {
 
@@ -196,7 +201,7 @@ struct ServiceOptions {
   /// legacy blocking back-pressure on a full ring. > 0 = load-shedding: a
   /// Submit that would exceed the cap — or land on a full ring — resolves
   /// immediately with ResourceExhausted instead of blocking the caller,
-  /// and is counted in ServiceStats::rejected.
+  /// and is counted in metric_names::kRejected.
   size_t max_inflight = 0;
   /// Observability (DESIGN.md §11): when set, every finished query/batch
   /// is digested into this recorder (last-N ring + slow-query log). Not
@@ -214,8 +219,64 @@ struct ServiceOptions {
   bool enable_prune_index = false;
 };
 
-/// See the file comment. Thread-safe: Submit/session calls/Drain/Snapshot
-/// may be called from any thread; Shutdown from one thread at a time.
+/// Canonical instrument names of the service (DESIGN.md §11), registered
+/// by QueryService::Metrics and read back by name from MetricsSnapshot().
+/// Everything lives under "mcn.service." / "mcn.shard<k>." / "mcn.disk." /
+/// "mcn.io." — the names kGetMetrics exposes and tools/mcn_stat.py prints.
+/// The only place a "mcn." literal may appear under src/mcn/
+/// (tools/mcn_lint.py, rule metric-names-in-one-place).
+namespace metric_names {
+/// Requests finished OK / non-OK. Load-shed submissions (rejected) are in
+/// neither; deadline expiries (timed_out) and cancellations are also in
+/// failed. Cache hits and coalesced waiters never enter the queue and are
+/// in neither.
+inline constexpr char kCompleted[] = "mcn.service.completed";
+inline constexpr char kFailed[] = "mcn.service.failed";
+inline constexpr char kRejected[] = "mcn.service.rejected";
+inline constexpr char kTimedOut[] = "mcn.service.timed_out";
+inline constexpr char kCancelled[] = "mcn.service.cancelled";
+/// Session batches (also counted in completed/failed).
+inline constexpr char kSessionBatches[] = "mcn.service.session_batches";
+inline constexpr char kBufferMisses[] = "mcn.service.buffer_misses";
+inline constexpr char kBufferAccesses[] = "mcn.service.buffer_accesses";
+inline constexpr char kPruneChecked[] = "mcn.service.prune_checked";
+inline constexpr char kPruneCut[] = "mcn.service.prune_cut";
+inline constexpr char kCacheHit[] = "mcn.service.cache_hit";
+inline constexpr char kCacheMiss[] = "mcn.service.cache_miss";
+inline constexpr char kCacheCoalesced[] = "mcn.service.cache_coalesced";
+inline constexpr char kCacheEvictions[] = "mcn.service.cache_evictions";
+inline constexpr char kCpuMicros[] = "mcn.service.cpu_micros";
+inline constexpr char kStallMicros[] = "mcn.service.stall_micros";
+inline constexpr char kQueueMicros[] = "mcn.service.queue_micros";
+/// Request latency histogram: queue wait + execution + modeled I/O stall.
+inline constexpr char kLatencyUs[] = "mcn.service.latency_us";
+/// Gauges, set when the snapshot is taken.
+inline constexpr char kCacheEntries[] = "mcn.service.cache_entries";
+inline constexpr char kNetworkEpoch[] = "mcn.service.network_epoch";
+inline constexpr char kOpenSessions[] = "mcn.service.open_sessions";
+inline constexpr char kWallSeconds[] = "mcn.service.wall_seconds";
+inline constexpr char kNumShards[] = "mcn.service.num_shards";
+/// The storage's reads in the stats window, whoever made them.
+inline constexpr char kDiskPageReads[] = "mcn.disk.page_reads";
+inline constexpr char kDiskPageWrites[] = "mcn.disk.page_writes";
+inline constexpr char kDiskBatchReads[] = "mcn.io.batch_reads";
+inline constexpr char kDiskBatchPages[] = "mcn.io.batch_pages";
+
+/// Per-shard rows: "completed", "buffer_misses", "local_fetches" and
+/// "remote_fetches" of the requests homed on `shard`.
+inline std::string Shard(int shard, const char* suffix) {
+  return "mcn.shard" + std::to_string(shard) + "." + suffix;
+}
+/// One storage file's page reads (summed over the shards' same-named
+/// files).
+inline std::string DiskFileReads(const std::string& file) {
+  return "mcn.disk.file." + file + ".reads";
+}
+}  // namespace metric_names
+
+/// See the file comment. Thread-safe: Submit/session calls/Drain/
+/// MetricsSnapshot may be called from any thread; Shutdown from one thread
+/// at a time.
 class QueryService {
  public:
   /// `storage`/`files` describe a built network
@@ -269,18 +330,16 @@ class QueryService {
   /// throw). Idempotent.
   void Shutdown(bool drain = true);
 
-  /// Aggregated service statistics since construction (or ResetStats),
-  /// with one ServiceStats::per_shard row per shard. A thin view:
-  /// ServiceStatsFromSnapshot(MetricsSnapshot()).
-  ServiceStats Snapshot() const;
-
-  /// The full observability snapshot (DESIGN.md §11): every registry
-  /// instrument plus disk I/O totals and liveness gauges. This is what
-  /// api::Server serves for kGetMetrics.
+  /// The service's statistics (DESIGN.md §11): every registry instrument
+  /// plus the storage's disk reads, the cache's evictions and the
+  /// metric_names gauges, all over the stats window — since construction
+  /// or the last ResetStats. This is what api::Server serves for
+  /// kGetMetrics.
   obs::Snapshot MetricsSnapshot() const;
 
-  /// Clears the aggregation and restarts the QPS window. Call only while
-  /// no query is in flight.
+  /// Starts a new stats window: zeroes the registry and re-bases the disk
+  /// and eviction rows and the wall clock. Call only while no query is in
+  /// flight.
   void ResetStats();
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
@@ -455,7 +514,6 @@ class QueryService {
   std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_
       MCN_GUARDED_BY(sessions_mu_);
   SessionId next_session_id_ MCN_GUARDED_BY(sessions_mu_) = 1;
-  Stopwatch uptime_;
   /// Cross-query result cache (null unless result_cache_entries > 0) and
   /// the epoch its keys carry (DESIGN.md §13).
   std::unique_ptr<ResultCache> result_cache_;
@@ -465,6 +523,12 @@ class QueryService {
   /// side-by-side services never double-count), sized one slot per worker.
   obs::Registry registry_;
   Metrics metrics_;
+  /// The stats window: its start, and the storage's and the cache's
+  /// lifetime totals then, which MetricsSnapshot subtracts.
+  mutable Mutex window_mu_;
+  Stopwatch uptime_ MCN_GUARDED_BY(window_mu_);
+  storage::DiskManager::Stats disk_baseline_ MCN_GUARDED_BY(window_mu_);
+  uint64_t evictions_baseline_ MCN_GUARDED_BY(window_mu_) = 0;
 };
 
 }  // namespace mcn::exec

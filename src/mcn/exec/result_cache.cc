@@ -24,7 +24,6 @@ ResultCache::Lookup ResultCache::Acquire(const std::string& key,
   if (epoch > current_epoch_) current_epoch_ = epoch;
   auto it = map_.find(key);
   if (it != map_.end()) {
-    ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, it->second);
     lookup.outcome = Lookup::Outcome::kHit;
     lookup.cached = SanitizedCopy(it->second->result);
@@ -32,13 +31,11 @@ ResultCache::Lookup ResultCache::Acquire(const std::string& key,
   }
   auto flight_it = inflight_.find(key);
   if (flight_it != inflight_.end()) {
-    ++stats_.coalesced;
     flight_it->second->waiters.emplace_back();
     lookup.outcome = Lookup::Outcome::kCoalesced;
     lookup.future = flight_it->second->waiters.back().get_future();
     return lookup;
   }
-  ++stats_.misses;
   lookup.outcome = Lookup::Outcome::kMiss;
   lookup.flight = std::make_shared<ResultFlight>();
   inflight_.emplace(key, lookup.flight);
@@ -60,9 +57,8 @@ size_t ResultCache::Complete(const std::shared_ptr<ResultFlight>& flight,
         map_.find(key) == map_.end()) {
       lru_.push_front(Entry{key, SanitizedCopy(result)});
       map_.emplace(key, lru_.begin());
-      ++stats_.insertions;
       while (map_.size() > max_entries_) {
-        ++stats_.evictions;
+        ++evictions_;
         map_.erase(lru_.back().key);
         lru_.pop_back();
       }
@@ -76,7 +72,7 @@ size_t ResultCache::Complete(const std::shared_ptr<ResultFlight>& flight,
 void ResultCache::InvalidateAll(uint64_t new_epoch) {
   MutexLock lock(&mu_);
   if (new_epoch > current_epoch_) current_epoch_ = new_epoch;
-  ++stats_.invalidations;
+  ++invalidations_;
   map_.clear();
   lru_.clear();
   // inflight_ deliberately survives: waiters resolve via Complete.
@@ -84,10 +80,7 @@ void ResultCache::InvalidateAll(uint64_t new_epoch) {
 
 ResultCache::Stats ResultCache::stats() const {
   MutexLock lock(&mu_);
-  Stats snapshot = stats_;
-  snapshot.entries = map_.size();
-  snapshot.inflight = inflight_.size();
-  return snapshot;
+  return Stats{evictions_, invalidations_, map_.size(), inflight_.size()};
 }
 
 }  // namespace mcn::exec

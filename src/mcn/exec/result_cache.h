@@ -85,11 +85,9 @@ class ResultCache {
   /// just not stored.
   void InvalidateAll(uint64_t new_epoch) MCN_EXCLUDES(mu_);
 
+  /// What only the cache knows. Acquire outcomes are counted by the
+  /// service (mcn.service.cache_{hit,miss,coalesced}), not here.
   struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t coalesced = 0;
-    uint64_t insertions = 0;
     uint64_t evictions = 0;      ///< LRU bound evictions (not invalidations)
     uint64_t invalidations = 0;  ///< InvalidateAll calls
     size_t entries = 0;          ///< stored entries at snapshot time
@@ -117,7 +115,8 @@ class ResultCache {
   std::unordered_map<std::string, std::shared_ptr<ResultFlight>> inflight_
       MCN_GUARDED_BY(mu_);
   uint64_t current_epoch_ MCN_GUARDED_BY(mu_) = 0;
-  Stats stats_ MCN_GUARDED_BY(mu_);
+  uint64_t evictions_ MCN_GUARDED_BY(mu_) = 0;
+  uint64_t invalidations_ MCN_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace mcn::exec

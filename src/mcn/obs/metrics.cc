@@ -1,7 +1,6 @@
 #include "mcn/obs/metrics.h"
 
 #include <cmath>
-#include <thread>
 
 namespace mcn::obs {
 
@@ -139,12 +138,6 @@ void Snapshot::SetGauge(const std::string& name, double value) {
   });
 }
 
-Registry::Registry(int slots_hint)
-    : num_slots_(ClampSlots(
-          slots_hint > 0
-              ? slots_hint
-              : static_cast<int>(std::thread::hardware_concurrency()))) {}
-
 Counter* Registry::GetCounter(const std::string& name) {
   MutexLock lock(&mu_);
   for (auto& [n, c] : counters_) {
@@ -152,15 +145,6 @@ Counter* Registry::GetCounter(const std::string& name) {
   }
   counters_.emplace_back(name, std::make_unique<Counter>(num_slots_));
   return counters_.back().second.get();
-}
-
-Gauge* Registry::GetGauge(const std::string& name) {
-  MutexLock lock(&mu_);
-  for (auto& [n, g] : gauges_) {
-    if (n == name) return g.get();
-  }
-  gauges_.emplace_back(name, std::make_unique<Gauge>());
-  return gauges_.back().second.get();
 }
 
 Histogram* Registry::GetHistogram(const std::string& name) {
@@ -179,10 +163,6 @@ Snapshot Registry::TakeSnapshot() const {
   for (const auto& [name, counter] : counters_) {
     snap.counters.push_back({name, counter->Value()});
   }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    snap.gauges.push_back({name, gauge->Value()});
-  }
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, histogram] : histograms_) {
     HistogramSnapshot h;
@@ -196,13 +176,7 @@ Snapshot Registry::TakeSnapshot() const {
 void Registry::ResetAll() {
   MutexLock lock(&mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
-Registry& Registry::Default() {
-  static Registry* registry = new Registry();
-  return *registry;
 }
 
 }  // namespace mcn::obs

@@ -1,5 +1,5 @@
-// Lock-light metrics registry (DESIGN.md §11): process- or service-scoped
-// named counters, gauges and log-bucketed latency histograms.
+// Lock-light metrics registry (DESIGN.md §11): named counters and
+// log-bucketed latency histograms, one registry per service.
 //
 // Hot-path contract: recording into an existing instrument takes NO lock —
 // counters and histograms keep per-slot cache-line-padded relaxed atomics
@@ -10,9 +10,10 @@
 //
 // Snapshots are plain value types merged by instrument name —
 // MergeRowsByName is the one aggregation routine shared by registry
-// snapshots, DiskManager::Stats and the sharded-service rollups that used
-// to hand-roll their own loops. exec::ServiceStats is a thin view over one
-// of these snapshots (exec/service_stats.h).
+// snapshots and DiskManager::Stats. A snapshot is the only stats surface
+// of exec::QueryService: callers read its rows by the names in
+// exec::metric_names. Gauges exist only as snapshot rows
+// (Snapshot::SetGauge), written by whoever takes the snapshot.
 //
 // Histogram bucketing: values 0..15 get exact unit buckets; above that,
 // each power-of-two octave is split into 8 sub-buckets, so any recorded
@@ -74,7 +75,6 @@ class Counter {
     return slots_[static_cast<uint32_t>(slot) & mask_].v.load(
         std::memory_order_relaxed);
   }
-  int num_slots() const { return static_cast<int>(slots_.size()); }
 
   void Reset() {
     for (Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
@@ -86,22 +86,6 @@ class Counter {
   };
   std::vector<Slot> slots_;
   uint32_t mask_;
-};
-
-/// Last-value gauge (doubles, e.g. open sessions or uptime). Set wins —
-/// gauges are not sharded; they are written rarely.
-class Gauge {
- public:
-  void Set(double v) {
-    bits_.store(std::bit_cast<uint64_t>(v), std::memory_order_relaxed);
-  }
-  double Value() const {
-    return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
-  }
-  void Reset() { Set(0.0); }
-
- private:
-  std::atomic<uint64_t> bits_{std::bit_cast<uint64_t>(0.0)};
 };
 
 /// Log-bucketed histogram over uint64 values (microseconds by convention).
@@ -154,7 +138,6 @@ class Histogram {
   }
 
   /// Sparse merged view of every slot (count derived from the buckets).
-  struct Dense;  // internal to the .cc
   void SnapshotInto(std::vector<std::pair<uint32_t, uint64_t>>* buckets,
                     uint64_t* count, uint64_t* sum) const;
 
@@ -216,7 +199,7 @@ struct Snapshot {
   double GaugeValue(const std::string& name, double fallback = 0) const;
   const HistogramSnapshot* FindHistogram(const std::string& name) const;
 
-  /// Convenience mutators for derived rows (e.g. the disk I/O totals
+  /// Mutators for derived rows (e.g. the disk I/O totals and the gauges
   /// appended by QueryService::MetricsSnapshot). AddCounter sums into an
   /// existing same-named row.
   void AddCounter(const std::string& name, uint64_t value);
@@ -248,16 +231,15 @@ void MergeRowsByName(std::vector<Row>* into, const std::vector<Row>& from,
 /// registry's lifetime — resolve once, record forever without a lock.
 class Registry {
  public:
-  /// `slots_hint`: expected concurrent recorder count (a service passes
-  /// its worker count so per-worker slots are exact). 0 = a default sized
-  /// for the machine.
-  explicit Registry(int slots_hint = 0);
+  /// `num_slots`: expected concurrent recorder count (a service passes
+  /// its worker count so per-worker slots are exact), clamped by
+  /// ClampSlots.
+  explicit Registry(int num_slots) : num_slots_(ClampSlots(num_slots)) {}
 
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
   Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
   Snapshot TakeSnapshot() const;
@@ -265,18 +247,10 @@ class Registry {
   /// enough that a racing Add being lost or kept is acceptable).
   void ResetAll();
 
-  int num_slots() const { return num_slots_; }
-
-  /// The process-wide registry (e.g. wire-server counters). Services keep
-  /// their own Registry so tests never see cross-instance bleed-through.
-  static Registry& Default();
-
  private:
   int num_slots_;
   mutable Mutex mu_;  ///< creation + snapshot only, never recording
   std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_
-      MCN_GUARDED_BY(mu_);
-  std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_
       MCN_GUARDED_BY(mu_);
   std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> histograms_
       MCN_GUARDED_BY(mu_);

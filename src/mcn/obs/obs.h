@@ -9,7 +9,7 @@
 //
 // The metrics registry (obs/metrics.h) and flight recorder
 // (obs/flight_recorder.h) are NOT gated: they are the production stats
-// surface (ServiceStats is a view over registry snapshots) and stay
+// surface (QueryService::MetricsSnapshot is a registry snapshot) and stay
 // compiled in every build. Their hot path is lock-free relaxed atomics;
 // the bench-gated overhead budget (≤2% QPS with metrics on, tracing off)
 // is enforced by the CI bench smoke.

@@ -164,9 +164,9 @@ TEST(ApiSpecTest, MalformedSpecsRejectedWithStatusNotCrash) {
   // The workers that executed the failures still serve good queries.
   QueryResult good = (*service)->Submit(api::SkylineSpec(fx.Location(8))).get();
   EXPECT_TRUE(good.status.ok());
-  ServiceStats stats = (*service)->Snapshot();
-  EXPECT_EQ(stats.failed, 7u);
-  EXPECT_EQ(stats.completed, 1u);
+  const obs::Snapshot snap = (*service)->MetricsSnapshot();
+  EXPECT_EQ(snap.CounterValue(metric_names::kFailed), 7u);
+  EXPECT_EQ(snap.CounterValue(metric_names::kCompleted), 1u);
   (*service)->Shutdown();
 }
 

@@ -365,19 +365,21 @@ TEST(LandmarkIndexTest, QueryServicePruneParity) {
       hashes.push_back(result.result_hash);
       misses += result.stats.buffer_misses;
     }
-    const exec::ServiceStats stats = service->Snapshot();
+    const obs::Snapshot stats = service->MetricsSnapshot();
     service->Shutdown();
-    return std::tuple<std::vector<uint64_t>, exec::ServiceStats, uint64_t>(
+    return std::tuple<std::vector<uint64_t>, obs::Snapshot, uint64_t>(
         hashes, stats, misses);
   };
 
   const auto [hashes_off, stats_off, misses_off] = run_service(false);
   const auto [hashes_on, stats_on, misses_on] = run_service(true);
   EXPECT_EQ(hashes_off, hashes_on);
-  EXPECT_EQ(stats_off.prune_checked, 0u);
-  EXPECT_GT(stats_on.prune_checked, 0u);
-  EXPECT_GT(stats_on.prune_cut, 0u);
-  EXPECT_LE(stats_on.prune_cut, stats_on.prune_checked);
+  namespace mn = exec::metric_names;
+  EXPECT_EQ(stats_off.CounterValue(mn::kPruneChecked), 0u);
+  EXPECT_GT(stats_on.CounterValue(mn::kPruneChecked), 0u);
+  EXPECT_GT(stats_on.CounterValue(mn::kPruneCut), 0u);
+  EXPECT_LE(stats_on.CounterValue(mn::kPruneCut),
+            stats_on.CounterValue(mn::kPruneChecked));
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "mcn/algo/result_hash.h"
 #include "mcn/algo/topk_query.h"
@@ -345,6 +350,86 @@ TEST(TopKGoldenTest, GoldenWorkAtScale002) {
     EXPECT_EQ(got.physical_fetches, g.want.physical_fetches);
     EXPECT_EQ(got.misses, g.want.misses);
     EXPECT_EQ(got.digest, g.want.digest);
+  }
+}
+
+/// Facilities in ascending cost, grouped into runs of equal cost.
+using CostRuns = std::vector<std::pair<double, std::set<graph::FacilityId>>>;
+
+void AddToRuns(CostRuns* runs, double cost, graph::FacilityId facility) {
+  if (runs->empty() || runs->back().first != cost) {
+    runs->push_back({cost, {}});
+  }
+  runs->back().second.insert(facility);
+}
+
+// Metamorphic (ROADMAP item 6): with the unit weight vector e_i the score
+// is cost i alone, so the top-k is the first k of expansion i's NN order,
+// under width-1 (parallelism 0) and wide (parallelism 1) turns alike. Runs
+// of equal cost may come out in either order and are compared as sets;
+// the run cut at rank k must be a subset of the NN run at its cost.
+TEST(TopKMetamorphicTest, UnitWeightsGiveSingleCriterionNnPrefix) {
+  const uint64_t seed = test::AnnounceSeed("TopKQuery.UnitWeights");
+  test::SmallConfig config;
+  config.num_costs = 3;
+  config.seed = test::DeriveSeed(seed, 1);
+  auto instance = test::MakeSmallInstance(config).value();
+  Random rng(test::DeriveSeed(seed, 2));
+  for (int qi = 0; qi < 2; ++qi) {
+    const Location q = instance->RandomQueryLocation(rng);
+    for (int i = 0; i < config.num_costs; ++i) {
+      instance->ResetIoState();
+      auto nn_engine = CeaEngine::Create(instance->reader.get(), q).value();
+      CostRuns nn_runs;
+      size_t reachable = 0;
+      for (;;) {
+        auto nn = nn_engine->NextNN(i).value();
+        if (!nn.has_value()) break;
+        AddToRuns(&nn_runs, nn->cost, nn->facility);
+        ++reachable;
+      }
+      ASSERT_FALSE(nn_runs.empty());
+      std::vector<double> unit(config.num_costs, 0.0);
+      unit[i] = 1.0;
+      for (auto kind : {expand::EngineKind::kLsa, expand::EngineKind::kCea}) {
+        for (int parallelism : {0, 1}) {
+          for (int k : {1, 5, 17}) {
+            SCOPED_TRACE("q=" + q.ToString() + " i=" + std::to_string(i) +
+                         (kind == expand::EngineKind::kLsa ? " LSA" : " CEA") +
+                         " p=" + std::to_string(parallelism) +
+                         " k=" + std::to_string(k));
+            instance->ResetIoState();
+            auto engine =
+                expand::MakeEngine(kind, instance->reader.get(), q).value();
+            std::unique_ptr<expand::ParallelProbeScheduler> scheduler;
+            TopKOptions opts;
+            opts.k = k;
+            opts.exec.parallelism = parallelism;
+            if (parallelism >= 1) {
+              scheduler = std::make_unique<expand::ParallelProbeScheduler>(
+                  engine.get(), /*pool=*/nullptr, /*striped=*/nullptr);
+              opts.exec.scheduler = scheduler.get();
+            }
+            TopKQuery query(engine.get(), WeightedSum(unit), opts);
+            const std::vector<TopKEntry> rows = query.Run().value();
+            ASSERT_EQ(rows.size(), std::min<size_t>(k, reachable));
+            CostRuns runs;
+            for (const TopKEntry& row : rows) {
+              AddToRuns(&runs, row.score, row.facility);
+            }
+            ASSERT_LE(runs.size(), nn_runs.size());
+            for (size_t r = 0; r + 1 < runs.size(); ++r) {
+              EXPECT_EQ(runs[r], nn_runs[r]) << "run " << r;
+            }
+            const auto& [cut_cost, cut] = runs.back();
+            const auto& [nn_cost, nn_run] = nn_runs[runs.size() - 1];
+            EXPECT_EQ(cut_cost, nn_cost);
+            EXPECT_TRUE(std::includes(nn_run.begin(), nn_run.end(),
+                                      cut.begin(), cut.end()));
+          }
+        }
+      }
+    }
   }
 }
 

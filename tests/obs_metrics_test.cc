@@ -169,21 +169,17 @@ TEST(CounterTest, SlotCountClampsToPowerOfTwo) {
 TEST(RegistryTest, InstrumentPointersAreStableAndShared) {
   Registry registry(4);
   Counter* c = registry.GetCounter("mcn.test.counter");
-  Gauge* g = registry.GetGauge("mcn.test.gauge");
   Histogram* h = registry.GetHistogram("mcn.test.hist");
   EXPECT_EQ(registry.GetCounter("mcn.test.counter"), c);
-  EXPECT_EQ(registry.GetGauge("mcn.test.gauge"), g);
   EXPECT_EQ(registry.GetHistogram("mcn.test.hist"), h);
 
   c->Add(7);
-  g->Set(2.5);
   h->Record(100);
   h->Record(3);
 
   const Snapshot s = registry.TakeSnapshot();
   EXPECT_EQ(s.CounterValue("mcn.test.counter"), 7u);
   EXPECT_EQ(s.CounterValue("absent", 42), 42u);
-  EXPECT_DOUBLE_EQ(s.GaugeValue("mcn.test.gauge"), 2.5);
   const HistogramSnapshot* hs = s.FindHistogram("mcn.test.hist");
   ASSERT_NE(hs, nullptr);
   EXPECT_EQ(hs->count, 2u);
@@ -214,16 +210,6 @@ TEST(SnapshotTest, MergeSumsCountersAndKeepsLastGauge) {
   // AddCounter sums into an existing same-named row.
   a.AddCounter("c1", 1);
   EXPECT_EQ(a.CounterValue("c1"), 16u);
-}
-
-TEST(RegistryTest, DefaultIsProcessWideSingleton) {
-  EXPECT_EQ(&Registry::Default(), &Registry::Default());
-  // A service-scoped registry never bleeds into the default one.
-  Registry scoped(2);
-  scoped.GetCounter("mcn.test.scoped")->Add(1);
-  EXPECT_EQ(Registry::Default().TakeSnapshot().CounterValue(
-                "mcn.test.scoped", 77),
-            77u);
 }
 
 }  // namespace

@@ -24,6 +24,8 @@
 namespace mcn::exec {
 namespace {
 
+namespace mn = metric_names;
+
 struct ServiceFixture {
   std::unique_ptr<gen::ShardedInstance> instance;
   size_t frames = 0;
@@ -191,13 +193,18 @@ TEST(QueryServiceTest, OversubscriptionManyMoreQueriesThanWorkers) {
   auto requests = fx.MixedWorkload(60);
   RunRecord record = RunThrough(**service, requests);
   EXPECT_EQ(record.hashes.size(), 60u);
-  ServiceStats stats = (*service)->Snapshot();
-  EXPECT_EQ(stats.completed, 60u);
-  EXPECT_EQ(stats.failed, 0u);
-  EXPECT_GT(stats.qps, 0.0);
-  EXPECT_GT(stats.latency_p50_ms, 0.0);
-  EXPECT_LE(stats.latency_p50_ms, stats.latency_p95_ms);
-  EXPECT_LE(stats.latency_p95_ms, stats.latency_p99_ms);
+  const obs::Snapshot snap = (*service)->MetricsSnapshot();
+  EXPECT_EQ(snap.CounterValue(mn::kCompleted), 60u);
+  EXPECT_EQ(snap.CounterValue(mn::kFailed), 0u);
+  EXPECT_GT(snap.GaugeValue(mn::kWallSeconds), 0.0);
+  const obs::HistogramSnapshot* latency_us = snap.FindHistogram(mn::kLatencyUs);
+  ASSERT_NE(latency_us, nullptr);
+  EXPECT_EQ(latency_us->count, 60u);
+  EXPECT_GT(latency_us->ValueAtQuantile(0.50), 0.0);
+  EXPECT_LE(latency_us->ValueAtQuantile(0.50),
+            latency_us->ValueAtQuantile(0.95));
+  EXPECT_LE(latency_us->ValueAtQuantile(0.95),
+            latency_us->ValueAtQuantile(0.99));
   (*service)->Shutdown();
 }
 
@@ -265,9 +272,9 @@ TEST(QueryServiceTest, InvalidRequestsFailCleanlyWithoutPoisoningWorkers) {
   auto good = fx.MixedWorkload(6);
   RunRecord record = RunThrough(**service, good);
   EXPECT_EQ(record.hashes.size(), 6u);
-  ServiceStats stats = (*service)->Snapshot();
-  EXPECT_EQ(stats.failed, 2u);
-  EXPECT_EQ(stats.completed, 6u);
+  const obs::Snapshot snap = (*service)->MetricsSnapshot();
+  EXPECT_EQ(snap.CounterValue(mn::kFailed), 2u);
+  EXPECT_EQ(snap.CounterValue(mn::kCompleted), 6u);
 }
 
 TEST(QueryServiceTest, DiskIsFrozenWhileServiceLives) {
@@ -392,8 +399,60 @@ TEST(QueryServiceTest, SleptStallIsChargedPerMissNotAsQueueWait) {
     stall_micros += static_cast<uint64_t>(stats.stall_seconds * 1e6);
   }
   EXPECT_GT(heavy, 0);
-  EXPECT_EQ(service->MetricsSnapshot().CounterValue(metric_names::kStallMicros),
+  EXPECT_EQ(service->MetricsSnapshot().CounterValue(mn::kStallMicros),
             stall_micros);
+}
+
+/// The counter rows (and histogram counts) of `snap` that are not zero,
+/// as "name=value".
+std::vector<std::string> NonZeroCounts(const obs::Snapshot& snap) {
+  std::vector<std::string> rows;
+  for (const obs::CounterRow& row : snap.counters) {
+    if (row.value != 0) {
+      rows.push_back(row.name + "=" + std::to_string(row.value));
+    }
+  }
+  for (const obs::HistogramSnapshot& h : snap.histograms) {
+    if (h.count != 0) rows.push_back(h.name + "=" + std::to_string(h.count));
+  }
+  return rows;
+}
+
+// Every row of the snapshot counts the stats window — since construction
+// or the last ResetStats — although the storage and the result cache
+// count over their whole life: a service over a storage an earlier
+// service has read starts at zero, reads one page per buffer miss, and
+// ResetStats zeroes every counter, disk reads and cache evictions too.
+TEST(QueryServiceTest, EveryCounterCountsTheStatsWindow) {
+  ServiceFixture fx;
+  const std::vector<api::QuerySpec> requests = fx.MixedWorkload(12);
+  ServiceOptions opts = fx.Options(2);
+  opts.result_cache_entries = 2;  // twelve distinct specs evict
+  {
+    auto earlier =
+        QueryService::Create(&fx.instance->storage, fx.instance->files, opts)
+            .value();
+    RunThrough(*earlier, requests);
+  }
+  ASSERT_GT(fx.instance->storage.MergedStats().page_reads, 0u);
+
+  auto service =
+      QueryService::Create(&fx.instance->storage, fx.instance->files, opts);
+  ASSERT_TRUE(service.ok());
+  EXPECT_EQ(NonZeroCounts((*service)->MetricsSnapshot()),
+            std::vector<std::string>{});
+  for (int window = 0; window < 2; ++window) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    RunThrough(**service, requests);
+    const obs::Snapshot snap = (*service)->MetricsSnapshot();
+    EXPECT_GT(snap.CounterValue(mn::kBufferMisses), 0u);
+    EXPECT_EQ(snap.CounterValue(mn::kDiskPageReads),
+              snap.CounterValue(mn::kBufferMisses));
+    EXPECT_GT(snap.CounterValue(mn::kCacheEvictions), 0u);
+    (*service)->ResetStats();
+    EXPECT_EQ(NonZeroCounts((*service)->MetricsSnapshot()),
+              std::vector<std::string>{});
+  }
 }
 
 }  // namespace

@@ -32,6 +32,7 @@ using api::QuerySpec;
 using api::Server;
 using api::SkylineSpec;
 using api::TopKSpec;
+namespace mn = metric_names;
 
 gen::ExperimentConfig SmallConfig(uint64_t seed) {
   gen::ExperimentConfig config;
@@ -147,10 +148,11 @@ TEST(ServiceRobustnessTest, DeadlinedQueriesBehindSlowTrafficTimeOut) {
     ++timed_out;
   }
   EXPECT_GT(timed_out, 0) << "no deadline fired behind a slow filler";
-  ServiceStats stats = rig.service->Snapshot();
-  EXPECT_EQ(stats.timed_out, static_cast<uint64_t>(timed_out));
-  EXPECT_EQ(stats.failed, static_cast<uint64_t>(timed_out));
-  EXPECT_EQ(stats.rejected, 0u);
+  const obs::Snapshot snap = rig.service->MetricsSnapshot();
+  EXPECT_EQ(snap.CounterValue(mn::kTimedOut),
+            static_cast<uint64_t>(timed_out));
+  EXPECT_EQ(snap.CounterValue(mn::kFailed), static_cast<uint64_t>(timed_out));
+  EXPECT_EQ(snap.CounterValue(mn::kRejected), 0u);
   rig.service->Shutdown();
 }
 
@@ -197,8 +199,8 @@ TEST(ServiceRobustnessTest, FailedRequestsBookExecutionNotQueueWait) {
     EXPECT_GT(r->stats.local_fetches, 0u);
   }
   const obs::Snapshot snap = service->MetricsSnapshot();
-  EXPECT_LT(snap.CounterValue(metric_names::kQueueMicros),
-            snap.CounterValue(metric_names::kCpuMicros));
+  EXPECT_LT(snap.CounterValue(mn::kQueueMicros),
+            snap.CounterValue(mn::kCpuMicros));
   service->Shutdown();
 }
 
@@ -234,8 +236,8 @@ TEST(ServiceRobustnessTest, CoalescedCacheWaiterHonorsItsOwnDeadline) {
   // The flight itself (and the filler) still complete normally.
   EXPECT_TRUE(filler.get().status.ok());
   EXPECT_TRUE(owner.get().status.ok());
-  ServiceStats stats = rig.service->Snapshot();
-  EXPECT_EQ(stats.cache_coalesced, 1u);
+  EXPECT_EQ(
+      rig.service->MetricsSnapshot().CounterValue(mn::kCacheCoalesced), 1u);
   rig.service->Shutdown();
 }
 
@@ -274,11 +276,13 @@ TEST(ServiceRobustnessTest, AdmissionControlShedsOverCapImmediately) {
   // under the time one stalled query takes).
   for (double ms : reject_latency_ms) EXPECT_LT(ms, 250.0);
 
-  ServiceStats stats = rig.service->Snapshot();
-  EXPECT_EQ(stats.rejected, static_cast<uint64_t>(rejected));
+  const obs::Snapshot snap = rig.service->MetricsSnapshot();
+  EXPECT_EQ(snap.CounterValue(mn::kRejected),
+            static_cast<uint64_t>(rejected));
   // Shed queries never entered a queue: not double-counted as failures.
-  EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.completed, static_cast<uint64_t>(kFlood - rejected));
+  EXPECT_EQ(snap.CounterValue(mn::kFailed), 0u);
+  EXPECT_EQ(snap.CounterValue(mn::kCompleted),
+            static_cast<uint64_t>(kFlood - rejected));
   rig.service->Shutdown();
 }
 
@@ -296,7 +300,7 @@ TEST(ServiceRobustnessTest, MaxInflightZeroKeepsLegacyBlockingBackpressure) {
   for (auto& future : futures) {
     EXPECT_TRUE(future.get().status.ok());
   }
-  EXPECT_EQ(rig.service->Snapshot().rejected, 0u);
+  EXPECT_EQ(rig.service->MetricsSnapshot().CounterValue(mn::kRejected), 0u);
   rig.service->Shutdown();
 }
 
@@ -328,7 +332,7 @@ TEST(ServiceRobustnessTest, DeadlineRidesTheWireAndCountsAsTimedOut) {
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response.value().status.code(), StatusCode::kDeadlineExceeded)
       << response.value().status.ToString();
-  EXPECT_GE(rig.service->Snapshot().timed_out, 1u);
+  EXPECT_GE(rig.service->MetricsSnapshot().CounterValue(mn::kTimedOut), 1u);
   (*server)->Stop();
   rig.service->Shutdown();
 }

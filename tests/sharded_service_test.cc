@@ -24,6 +24,8 @@
 namespace mcn::exec {
 namespace {
 
+namespace mn = metric_names;
+
 gen::ExperimentConfig SmallServiceConfig(uint64_t seed) {
   gen::ExperimentConfig config;
   config.nodes = 400;
@@ -68,7 +70,7 @@ struct RunOutcome {
   std::vector<uint64_t> misses;
   std::vector<int> shards;   ///< home shard per query
   std::vector<int> workers;  ///< executing worker per query
-  ServiceStats stats;
+  obs::Snapshot snapshot;
 };
 
 RunOutcome RunThrough(QueryService& service,
@@ -87,7 +89,7 @@ RunOutcome RunThrough(QueryService& service,
     outcome.shards.push_back(result.stats.shard);
     outcome.workers.push_back(result.stats.worker);
   }
-  outcome.stats = service.Snapshot();
+  outcome.snapshot = service.MetricsSnapshot();
   return outcome;
 }
 
@@ -195,18 +197,23 @@ TEST_F(ShardedServiceTest, PerShardStatsFollowTheQueryTile) {
 
     // Per-shard rows: completions match the requests homed on each tile,
     // and expansions escaping their tile show up as remote fetches.
-    ASSERT_EQ(outcome.stats.per_shard.size(), static_cast<size_t>(k));
+    const obs::Snapshot& snap = outcome.snapshot;
+    ASSERT_EQ(snap.GaugeValue(mn::kNumShards), static_cast<double>(k));
     uint64_t completed = 0, local = 0, remote = 0;
-    for (const auto& row : outcome.stats.per_shard) {
-      EXPECT_EQ(row.completed, homed[row.shard])
-          << "workers=" << workers << " shard " << row.shard;
-      completed += row.completed;
-      local += row.local_fetches;
-      remote += row.remote_fetches;
-      EXPECT_GE(row.RemoteRatio(), 0.0);
-      EXPECT_LE(row.RemoteRatio(), 1.0);
+    for (int s = 0; s < k; ++s) {
+      const uint64_t done = snap.CounterValue(mn::Shard(s, "completed"));
+      const uint64_t row_local =
+          snap.CounterValue(mn::Shard(s, "local_fetches"));
+      const uint64_t row_remote =
+          snap.CounterValue(mn::Shard(s, "remote_fetches"));
+      EXPECT_EQ(done, homed[s]) << "workers=" << workers << " shard " << s;
+      completed += done;
+      local += row_local;
+      remote += row_remote;
+      EXPECT_GE(shard::RemoteRatio(row_local, row_remote), 0.0);
+      EXPECT_LE(shard::RemoteRatio(row_local, row_remote), 1.0);
     }
-    EXPECT_EQ(completed, outcome.stats.completed);
+    EXPECT_EQ(completed, snap.CounterValue(mn::kCompleted));
     EXPECT_EQ(completed, requests.size());
     EXPECT_GT(local, 0u);
     EXPECT_GT(remote, 0u) << "d-expansions over 4 tiles must cross a cut";
@@ -255,10 +262,17 @@ TEST_F(ShardedServiceTest, OneTileBurstUsesSeveralWorkers) {
   for (int shard : burst.shards) EXPECT_EQ(shard, 0);
 }
 
-uint64_t RoutedFetches(const ServiceStats& stats) {
+/// Shard `shard`'s routed fetches, local plus remote.
+uint64_t RoutedFetches(const obs::Snapshot& snap, int shard) {
+  return snap.CounterValue(mn::Shard(shard, "local_fetches")) +
+         snap.CounterValue(mn::Shard(shard, "remote_fetches"));
+}
+
+uint64_t RoutedFetches(const obs::Snapshot& snap) {
   uint64_t total = 0;
-  for (const auto& row : stats.per_shard) {
-    total += row.local_fetches + row.remote_fetches;
+  const int num_shards = static_cast<int>(snap.GaugeValue(mn::kNumShards));
+  for (int shard = 0; shard < num_shards; ++shard) {
+    total += RoutedFetches(snap, shard);
   }
   return total;
 }
@@ -289,11 +303,12 @@ TEST_F(ShardedServiceTest, SessionBatchesCountRoutedFetches) {
                 loc, 4, test::TestWeights(d, test::DeriveSeed(seed_, s))))
             .value();
     for (int batch = 0; batch < 3; ++batch) {
-      const ServiceStats before = service->Snapshot();
+      const obs::Snapshot before = service->MetricsSnapshot();
       QueryResult result = service->SessionNext(id, 4).get();
       ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-      const ServiceStats after = service->Snapshot();
-      EXPECT_EQ(after.session_batches, before.session_batches + 1);
+      const obs::Snapshot after = service->MetricsSnapshot();
+      EXPECT_EQ(after.CounterValue(mn::kSessionBatches),
+                before.CounterValue(mn::kSessionBatches) + 1);
       // Every record the batch read went through a routed fetch (each of
       // which touches the pool), so the counters rise exactly when the
       // batch did any I/O — and only on the session's home shard.
@@ -305,10 +320,8 @@ TEST_F(ShardedServiceTest, SessionBatchesCountRoutedFetches) {
       EXPECT_GT(RoutedFetches(after), RoutedFetches(before))
           << "session " << s << " batch " << batch;
       for (int shard = 0; shard < k; ++shard) {
-        const auto& was = before.per_shard[shard];
-        const auto& now = after.per_shard[shard];
-        const uint64_t delta = now.local_fetches + now.remote_fetches -
-                               was.local_fetches - was.remote_fetches;
+        const uint64_t delta =
+            RoutedFetches(after, shard) - RoutedFetches(before, shard);
         if (shard == static_cast<int>(home)) {
           EXPECT_GT(delta, 0u) << "session " << s << " batch " << batch;
         } else {
@@ -335,9 +348,10 @@ TEST_F(ShardedServiceTest, SingleShardHasNoRemoteFetches) {
   RunOutcome outcome = RunThrough(
       *service, MixedWorkload(*instance, test::DeriveSeed(seed_, 3), 12));
   service->Shutdown();
-  ASSERT_EQ(outcome.stats.per_shard.size(), 1u);
-  EXPECT_EQ(outcome.stats.per_shard[0].remote_fetches, 0u);
-  EXPECT_GT(outcome.stats.per_shard[0].local_fetches, 0u);
+  const obs::Snapshot& snap = outcome.snapshot;
+  ASSERT_EQ(snap.GaugeValue(mn::kNumShards), 1.0);
+  EXPECT_EQ(snap.CounterValue(mn::Shard(0, "remote_fetches")), 0u);
+  EXPECT_GT(snap.CounterValue(mn::Shard(0, "local_fetches")), 0u);
 }
 
 TEST_F(ShardedServiceTest, DrainAndShutdownAcrossShards) {

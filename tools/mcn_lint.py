@@ -36,6 +36,13 @@ Rules (each can be suppressed, see below):
       the turn's cancellation point, trace span and turn-level I/O. The
       naive oracle (algo/naive.cc) may still call the engine directly.
 
+  metric-names-in-one-place
+      A "mcn. string literal anywhere under src/mcn/ outside
+      exec/query_service.h, which defines exec::metric_names. Every
+      instrument name the service registers or appends to its snapshot is
+      a metric_names constant or helper, so the names callers read
+      (benches, perfbench, kGetMetrics scrapers) are all listed there.
+
 Suppression syntax (a justifying comment is required by review convention):
 
   // mcn-lint: disable=<rule>            suppress on this line
@@ -107,6 +114,13 @@ RULES = [
         re.compile(r"\bengine_->(NextNN|Step)\("),
         "query processor drives the engine directly; advance expansions "
         "through TurnDispatcher / ParallelProbeScheduler turns",
+    ),
+    (
+        "metric-names-in-one-place",
+        re.compile(r"src/mcn/(?!exec/query_service\.h$).*\.(h|cc)$"),
+        re.compile(r'"mcn\.'),
+        "metric name literal outside exec::metric_names; add a constant or "
+        "helper there (exec/query_service.h)",
     ),
 ]
 
@@ -185,11 +199,42 @@ BAD_EXAMPLES = {
         "src/mcn/algo/topk_query.cc",
         "MCN_ASSIGN_OR_RETURN(auto nn, engine_->NextNN(i));\n",
     ),
+    "metric-names-in-one-place": (
+        "src/mcn/exec/query_service.cc",
+        'snap.AddCounter("mcn.disk.file." + name + ".reads", reads);\n',
+    ),
 }
+
+# Files a rule deliberately exempts; the self-test asserts each stays
+# silent on a line the rule would flag anywhere else.
+EXEMPT_EXAMPLES = {
+    "metric-names-in-one-place": (
+        "src/mcn/exec/query_service.h",
+        'inline constexpr char kCompleted[] = "mcn.service.completed";\n',
+    ),
+}
+
+
+def rule_hits(rule: str, rel: str, text: str):
+    """Findings of `rule` in a scratch tree holding only `rel` = `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        target = root / rel
+        target.parent.mkdir(parents=True)
+        target.write_text(text, encoding="utf-8")
+        return [f for f in lint_tree(root) if f[2] == rule]
 
 
 def self_test() -> int:
     failures = 0
+    for rule, (rel, text) in EXEMPT_EXAMPLES.items():
+        hits = rule_hits(rule, rel, text)
+        if hits:
+            failures += 1
+            print(
+                f"self-test FAILED: rule {rule} fires in exempt {rel}: {hits}",
+                file=sys.stderr,
+            )
     for rule, (rel, bad_line) in BAD_EXAMPLES.items():
         for variant, text in {
             "fires": bad_line,
@@ -198,23 +243,21 @@ def self_test() -> int:
             + bad_line,
             "file": f"// mcn-lint: disable-file={rule}\n" + bad_line,
         }.items():
-            with tempfile.TemporaryDirectory() as tmp:
-                root = pathlib.Path(tmp)
-                target = root / rel
-                target.parent.mkdir(parents=True)
-                target.write_text(text, encoding="utf-8")
-                hits = [f for f in lint_tree(root) if f[2] == rule]
-                expect_hit = variant == "fires"
-                if bool(hits) != expect_hit:
-                    failures += 1
-                    print(
-                        f"self-test FAILED: rule {rule}, variant {variant}: "
-                        f"expected {'a finding' if expect_hit else 'silence'},"
-                        f" got {hits}",
-                        file=sys.stderr,
-                    )
+            hits = rule_hits(rule, rel, text)
+            expect_hit = variant == "fires"
+            if bool(hits) != expect_hit:
+                failures += 1
+                print(
+                    f"self-test FAILED: rule {rule}, variant {variant}: "
+                    f"expected {'a finding' if expect_hit else 'silence'},"
+                    f" got {hits}",
+                    file=sys.stderr,
+                )
     if failures == 0:
-        print(f"self-test OK: {len(BAD_EXAMPLES)} rules x 4 variants")
+        print(
+            f"self-test OK: {len(BAD_EXAMPLES)} rules x 4 variants, "
+            f"{len(EXEMPT_EXAMPLES)} exemption(s)"
+        )
         return 0
     return 1
 
