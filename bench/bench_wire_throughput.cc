@@ -19,7 +19,10 @@
 //
 // Output: one PrintRow per client count (mcn-bench-v2 rows: qps, client-
 // observed RTT percentiles in latency_p50/p95/p99_ms, result hash mixed
-// over the responses in submission order).
+// over the responses in submission order). Per client count, stderr also
+// gets the share of requests that ran inline on their connection thread
+// (mcn.service.inline, DESIGN.md §6): with fewer clients than workers a
+// slot is usually idle, with more some requests queue.
 //
 // Extra environment knobs (on top of the harness ones):
 //   MCN_WIRE_REQUESTS     specs in the per-client loop    (default 48)
@@ -362,7 +365,20 @@ int Main() {
     c.cea = cea.metrics;
     // Row "obs" object: the service registry after both engines' sweeps
     // (ResetStats above scoped it to this client count).
-    PrintRow(std::to_string(clients), c, (*service)->MetricsSnapshot());
+    const obs::Snapshot snap = (*service)->MetricsSnapshot();
+    PrintRow(std::to_string(clients), c, snap);
+    const uint64_t ran_inline =
+        snap.CounterValue(exec::metric_names::kInline);
+    const uint64_t executed =
+        snap.CounterValue(exec::metric_names::kCompleted) +
+        snap.CounterValue(exec::metric_names::kFailed);
+    std::fprintf(stderr,
+                 "clients=%d: %" PRIu64 " of %" PRIu64
+                 " requests ran inline (%.0f%%)\n",
+                 clients, ran_inline, executed,
+                 executed > 0 ? 100.0 * static_cast<double>(ran_inline) /
+                                    static_cast<double>(executed)
+                              : 0.0);
     std::printf(
         "    wire: LSA %7.2f qps  rtt p50/p95/p99 %6.2f/%6.2f/%6.2f ms | "
         "CEA %7.2f qps  rtt p50/p95/p99 %6.2f/%6.2f/%6.2f ms\n",

@@ -22,8 +22,9 @@
 //   --shards=K       serve from a K-way sharded layout (grid-tile
 //                    partition; each request is booked on the tile of its
 //                    location). Default 1.
-//   --workers=N      service workers (default 4).
-//   --pin-workers    best-effort CPU pinning of worker i to CPU i
+//   --workers=N      service execution slots and pool threads
+//                    (default 4).
+//   --pin-workers    best-effort CPU pinning of pool thread i to CPU i
 //                    (ignored where unsupported).
 //   --deadline-ms=D  per-request deadline stamped into every demo spec
 //                    (0 = none). Expired queries resolve DeadlineExceeded.

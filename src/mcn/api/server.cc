@@ -230,8 +230,10 @@ void Server::ServeConnection(Connection* connection) {
     bool drop = false;
     switch (request.value().type) {
       case MsgType::kExecute: {
+        // Runs on this thread when a service slot is idle (the inline
+        // route), so an uncontended request never changes threads.
         exec::QueryResult result =
-            service_->Submit(std::move(request.value().spec)).get();
+            service_->SubmitAndWait(std::move(request.value().spec));
         response.type = MsgType::kResponse;
         response.response = std::move(result).ToResponse();
         break;
@@ -263,7 +265,7 @@ void Server::ServeConnection(Connection* connection) {
               " is not open on this connection");
         } else {
           exec::QueryResult result =
-              service_->SessionNext(id, request.value().batch_n).get();
+              service_->SessionNextAndWait(id, request.value().batch_n);
           response.response = std::move(result).ToResponse();
         }
         break;

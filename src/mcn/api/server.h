@@ -9,13 +9,20 @@
 // frames against exactly this kind of endpoint.
 //
 // Concurrency model: one acceptor thread plus one thread per connection
-// (connections are long-lived clients; per-request concurrency comes from
-// the QueryService's workers, which the connection threads block on). A
-// dedicated reaper thread joins finished connection threads as they exit
-// (condition-signalled, with a periodic timer sweep as backstop), so
-// a long-running server never accumulates dead threads or fds between
-// accepts. Sessions opened by a connection are closed when it disconnects;
-// Stop() asserts the server leaked none.
+// (connections are long-lived clients). A connection thread decodes each
+// request and answers kExecute and kNext through the service's
+// synchronous entry points (QueryService::SubmitAndWait /
+// SessionNextAndWait, DESIGN.md §6): when one of the service's execution
+// slots is idle and no queued task waits for one, the query executes on
+// the connection thread itself, so an uncontended request crosses only
+// the two socket hand-offs; otherwise it waits on the service's work
+// queue for a pool thread, like an in-process Submit. Either way at most
+// num_workers requests execute at once. A dedicated reaper thread joins
+// finished connection threads as they exit (condition-signalled, with a
+// periodic timer sweep as backstop), so a long-running server never
+// accumulates dead threads or fds between accepts. Sessions opened by a
+// connection are closed when it disconnects; Stop() asserts the server
+// leaked none.
 #ifndef MCN_API_SERVER_H_
 #define MCN_API_SERVER_H_
 

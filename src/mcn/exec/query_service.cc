@@ -114,14 +114,18 @@ Status RunProcessor(const api::QuerySpec& spec, expand::NnEngine* engine,
   return Status::OK();
 }
 
-/// A future that is already resolved with a failed result.
-std::future<QueryResult> ReadyFailure(Status status) {
+QueryResult FailedResult(Status status) {
   QueryResult failed;
   failed.status = std::move(status);
   failed.result_hash = algo::kFnvOffsetBasis;
+  return failed;
+}
+
+/// A future that is already resolved with a failed result.
+std::future<QueryResult> ReadyFailure(Status status) {
   std::promise<QueryResult> promise;
   std::future<QueryResult> future = promise.get_future();
-  promise.set_value(std::move(failed));
+  promise.set_value(FailedResult(std::move(status)));
   return future;
 }
 
@@ -171,7 +175,7 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
   MCN_RETURN_IF_ERROR(ValidateOptions(options));
   if (options.enable_prune_index && files.landmark.present()) {
     // Surface a corrupt/mismatched index as a Create error, not a crash
-    // in the constructor (which builds one reader per worker). The global
+    // in the constructor (which builds one reader per slot). The global
     // index row file lives on shard 0's disk (DESIGN.md §12).
     net::LandmarkIndexReader probe(storage->disk(0), files.landmark);
     MCN_RETURN_IF_ERROR(probe.Validate());
@@ -187,9 +191,10 @@ QueryService::QueryService(shard::ShardedStorage* storage,
       files_(files),
       opts_(options),
       registry_(options.num_workers) {
-  // Resolve every instrument once; workers then record lock-free with
-  // slot = worker index (exact per-worker slots — the registry rounds the
-  // count up to a power of two, never down below num_workers <= 64).
+  // Resolve every instrument once; executing threads then record
+  // lock-free at their execution slot's index (exact per-slot instrument
+  // slots — the registry rounds the count up to a power of two, never down
+  // below num_workers <= 64).
   namespace mn = metric_names;
   metrics_.completed = registry_.GetCounter(mn::kCompleted);
   metrics_.failed = registry_.GetCounter(mn::kFailed);
@@ -197,6 +202,7 @@ QueryService::QueryService(shard::ShardedStorage* storage,
   metrics_.timed_out = registry_.GetCounter(mn::kTimedOut);
   metrics_.cancelled = registry_.GetCounter(mn::kCancelled);
   metrics_.session_batches = registry_.GetCounter(mn::kSessionBatches);
+  metrics_.ran_inline = registry_.GetCounter(mn::kInline);
   metrics_.buffer_misses = registry_.GetCounter(mn::kBufferMisses);
   metrics_.buffer_accesses = registry_.GetCounter(mn::kBufferAccesses);
   metrics_.prune_checked = registry_.GetCounter(mn::kPruneChecked);
@@ -218,19 +224,26 @@ QueryService::QueryService(shard::ShardedStorage* storage,
     metrics_.shard_remote_fetches.push_back(
         registry_.GetCounter(mn::Shard(s, "remote_fetches")));
   }
-  workers_.reserve(opts_.num_workers);
-  for (int w = 0; w < opts_.num_workers; ++w) {
-    auto worker = std::make_unique<Worker>();
+  slots_.reserve(opts_.num_workers);
+  for (int i = 0; i < opts_.num_workers; ++i) {
+    auto slot = std::make_unique<Slot>();
     // Rebound to each request's home shard before it runs (RunQuery).
-    worker->reader = MakeReader(shard::kInvalidShard);
+    slot->reader = MakeReader(shard::kInvalidShard);
     if (opts_.enable_prune_index && files_.landmark.present()) {
-      // Create() validated the index file already; a per-worker reader
+      // Create() validated the index file already; a per-slot reader
       // over the same pages cannot fail differently.
-      worker->landmark = std::make_unique<net::LandmarkIndexReader>(
+      slot->landmark = std::make_unique<net::LandmarkIndexReader>(
           storage_->disk(0), files_.landmark);
-      MCN_CHECK(worker->landmark->Validate().ok());
+      MCN_CHECK(slot->landmark->Validate().ok());
     }
-    workers_.push_back(std::move(worker));
+    slots_.push_back(std::move(slot));
+  }
+  {
+    MutexLock lock(&slots_mu_);
+    // Slot 0 on top: with one request at a time, that is the slot it uses.
+    for (int i = opts_.num_workers - 1; i >= 0; --i) {
+      idle_slots_.push_back(i);
+    }
   }
   if (opts_.result_cache_entries > 0) {
     result_cache_ = std::make_unique<ResultCache>(opts_.result_cache_entries);
@@ -241,24 +254,31 @@ QueryService::QueryService(shard::ShardedStorage* storage,
   // The stats window opens here: reads made before, by an earlier service
   // or by the landmark validation above, are not this service's.
   ResetStats();
-  // One work queue that every worker drains (DESIGN.md §6, §8).
+  // One work queue that every pool thread drains (DESIGN.md §6, §8).
   pool_ = std::make_unique<ThreadPool<Task>>(
       opts_.num_workers, opts_.queue_capacity,
-      [this](Task&& task, int worker) { Execute(std::move(task), worker); },
+      [this](Task&& task, int thread) {
+        // Pool thread i on CPU i, pinned on its first task (a pool thread
+        // serves one service for its whole life). Best-effort by design.
+        thread_local bool pinned = false;
+        if (opts_.pin_workers && !pinned) {
+          PinCurrentThreadToCpu(thread);
+          pinned = true;
+        }
+        const int slot = ClaimSlotForQueued();
+        QueryResult result = Execute(task, slot);
+        // Released before the client sees the result, so its next
+        // request can find the slot idle.
+        ReleaseSlot(slot);
+        task.promise.set_value(std::move(result));
+        // Last: the query is no longer in flight.
+        ReturnInflightTicket();
+      },
       [this](Task&& task) {
-        if (task.session != nullptr) {
-          task.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
-        }
-        if (opts_.max_inflight > 0) {
-          inflight_.fetch_sub(1, std::memory_order_acq_rel);
-        }
-        QueryResult discarded;
-        discarded.status = Status::FailedPrecondition(
+        const Status discarded = Status::FailedPrecondition(
             "query discarded by non-draining shutdown");
-        // A flighted task that never runs must still settle its
-        // coalesced waiters (shared fate, never a hang).
-        AbandonCacheFlight(task, discarded.status);
-        task.promise.set_value(std::move(discarded));
+        DropQueued(task, discarded);
+        task.promise.set_value(FailedResult(discarded));
       });
 }
 
@@ -266,7 +286,7 @@ QueryService::~QueryService() { Shutdown(/*drain=*/true); }
 
 std::unique_ptr<shard::ShardedNetworkReader> QueryService::MakeReader(
     shard::ShardId home) const {
-  // One construction path for worker readers AND session readers: the
+  // One construction path for slot readers AND session readers: the
   // session-I/O-parity contract (a stream's logical I/O matches a local
   // run over an equal-capacity pool) holds exactly because both get the
   // same pool budget and split policy.
@@ -284,7 +304,7 @@ std::unique_ptr<shard::ShardedNetworkReader> QueryService::MakeReader(
 
 shard::ShardId QueryService::HomeShard(
     const graph::Location& location) const {
-  // Out-of-range locations fail validation on the worker; book them on
+  // Out-of-range locations fail validation on execution; book them on
   // shard 0 meanwhile.
   const shard::Partition& part = storage_->partition();
   if (location.is_node()) {
@@ -297,67 +317,124 @@ shard::ShardId QueryService::HomeShard(
   return 0;
 }
 
-void QueryService::AbandonCacheFlight(Task& task, const Status& status) {
+void QueryService::Unadmit(Task& task, const Status& status) {
+  if (task.session != nullptr) {
+    task.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
+  }
   if (task.cache_flight == nullptr) return;
   MCN_DCHECK(result_cache_ != nullptr);
-  QueryResult failed;
-  failed.status = status;
-  failed.result_hash = algo::kFnvOffsetBasis;
+  // A flighted task that never runs must still settle its coalesced
+  // waiters (shared fate, never a hang).
   result_cache_->Complete(task.cache_flight, task.cache_key,
-                          task.cache_epoch, failed);
+                          task.cache_epoch, FailedResult(status));
   task.cache_flight = nullptr;
 }
 
-std::future<QueryResult> QueryService::Enqueue(Task&& task) {
-  std::future<QueryResult> future = task.promise.get_future();
+Status QueryService::TakeInflightTicket(Task& task) {
+  if (opts_.max_inflight == 0) return Status::OK();
+  // Admission control (DESIGN.md §10): never park the caller. The
+  // in-flight ticket is taken optimistically and returned on any
+  // rejection; whoever finishes the task returns it at completion.
+  if (inflight_.fetch_add(1, std::memory_order_acq_rel) <
+      static_cast<int64_t>(opts_.max_inflight)) {
+    return Status::OK();
+  }
+  inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  metrics_.rejected->Add(1);
+  Status shed = Status::ResourceExhausted(
+      "QueryService: over max_inflight (" +
+      std::to_string(opts_.max_inflight) + "), load shed");
+  Unadmit(task, shed);
+  return shed;
+}
+
+void QueryService::ReturnInflightTicket() {
   if (opts_.max_inflight > 0) {
-    // Admission control (DESIGN.md §10): never park the caller. The
-    // in-flight ticket is taken optimistically and returned on any
-    // rejection; Execute / the discard handler return it at completion.
-    if (inflight_.fetch_add(1, std::memory_order_acq_rel) >=
-        static_cast<int64_t>(opts_.max_inflight)) {
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      if (task.session != nullptr) {
-        task.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      metrics_.rejected->Add(1);
-      Status shed = Status::ResourceExhausted(
-          "QueryService: over max_inflight (" +
-          std::to_string(opts_.max_inflight) + "), load shed");
-      AbandonCacheFlight(task, shed);
-      return ReadyFailure(std::move(shed));
-    }
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+}
+
+void QueryService::DropQueued(Task& task, const Status& status) {
+  {
+    MutexLock lock(&slots_mu_);
+    --queued_tasks_;
+  }
+  ReturnInflightTicket();
+  Unadmit(task, status);
+}
+
+std::future<QueryResult> QueryService::Enqueue(Task&& task) {
+  Status admitted = TakeInflightTicket(task);
+  if (!admitted.ok()) return ReadyFailure(std::move(admitted));
+  return EnqueueTicketed(std::move(task));
+}
+
+std::future<QueryResult> QueryService::EnqueueTicketed(Task&& task) {
+  std::future<QueryResult> future = task.promise.get_future();
+  {
+    // Counted before the push, so no inline claim overtakes the task.
+    MutexLock lock(&slots_mu_);
+    ++queued_tasks_;
+  }
+  Status refused;
+  if (opts_.max_inflight > 0) {
+    // Load shedding never parks the caller, on a full ring either.
     const auto outcome = pool_->TrySubmit(std::move(task));
     if (outcome == ThreadPool<Task>::TryResult::kAccepted) return future;
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    // TrySubmit left the task unconsumed: a session batch still owns its
-    // ticket — return it before resolving.
-    if (task.session != nullptr) {
-      task.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
-    }
     if (outcome == ThreadPool<Task>::TryResult::kFull) {
       metrics_.rejected->Add(1);
-      Status shed = Status::ResourceExhausted(
+      refused = Status::ResourceExhausted(
           "QueryService: queue full, load shed");
-      AbandonCacheFlight(task, shed);
-      return ReadyFailure(std::move(shed));
+    } else {
+      refused = Status::FailedPrecondition("QueryService is shut down");
     }
-    Status down = Status::FailedPrecondition("QueryService is shut down");
-    AbandonCacheFlight(task, down);
-    return ReadyFailure(std::move(down));
+  } else if (pool_->Submit(std::move(task))) {
+    return future;
+  } else {
+    refused = Status::FailedPrecondition("QueryService is shut down");
   }
-  if (!pool_->Submit(std::move(task))) {
-    // Shutdown already began: Submit did not consume the task, so a
-    // session batch still owns its inflight ticket — return it, and
-    // resolve immediately instead of blocking.
-    if (task.session != nullptr) {
-      task.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    Status down = Status::FailedPrecondition("QueryService is shut down");
-    AbandonCacheFlight(task, down);
-    return ReadyFailure(std::move(down));
+  // The pool did not consume the task: it still owns its tickets.
+  DropQueued(task, refused);
+  return ReadyFailure(std::move(refused));
+}
+
+QueryResult QueryService::RunInlineOrWait(Task&& task) {
+  Status admitted = TakeInflightTicket(task);
+  if (!admitted.ok()) return FailedResult(std::move(admitted));
+  const int slot = TryClaimSlotInline();
+  if (slot < 0) return EnqueueTicketed(std::move(task)).get();
+  // The inline route (DESIGN.md §6): the caller's thread executes, so
+  // the request crosses no queue and no thread hand-off.
+  metrics_.ran_inline->Add(1, slot);
+  QueryResult result = Execute(task, slot);
+  ReleaseSlot(slot);
+  ReturnInflightTicket();
+  return result;
+}
+
+int QueryService::ClaimSlotForQueued() {
+  MutexLock lock(&slots_mu_);
+  while (idle_slots_.empty()) slot_released_.Wait(&slots_mu_);
+  --queued_tasks_;
+  const int slot = idle_slots_.back();
+  idle_slots_.pop_back();
+  return slot;
+}
+
+int QueryService::TryClaimSlotInline() {
+  MutexLock lock(&slots_mu_);
+  if (inline_closed_ || queued_tasks_ > 0 || idle_slots_.empty()) return -1;
+  const int slot = idle_slots_.back();
+  idle_slots_.pop_back();
+  return slot;
+}
+
+void QueryService::ReleaseSlot(int slot) {
+  {
+    MutexLock lock(&slots_mu_);
+    idle_slots_.push_back(slot);
   }
-  return future;
+  slot_released_.NotifyOne();
 }
 
 std::string QueryService::CanonicalCacheKey(const api::QuerySpec& spec,
@@ -379,72 +456,91 @@ std::string QueryService::CanonicalCacheKey(const api::QuerySpec& spec,
   return key;
 }
 
-std::future<QueryResult> QueryService::Submit(api::QuerySpec spec) {
-  Task task;
-  task.home_shard = HomeShard(spec.location);
+void QueryService::StampAdmission(int32_t deadline_ms, Task* task) {
   // Adopt the caller's installed trace context (the wire server traces
   // decode/encode under the same query id) or mint a fresh one.
-  task.trace = obs::CurrentTraceContext();
-  if (!task.trace.active()) task.trace = obs::StartQueryTrace();
-  obs::RecordInstant(task.trace, obs::EventType::kAdmission,
-                     task.home_shard);
-  task.enqueue_time = std::chrono::steady_clock::now();
-  if (spec.deadline_ms > 0) {
+  task->trace = obs::CurrentTraceContext();
+  if (!task->trace.active()) task->trace = obs::StartQueryTrace();
+  obs::RecordInstant(task->trace, obs::EventType::kAdmission,
+                     task->home_shard);
+  task->enqueue_time = std::chrono::steady_clock::now();
+  if (deadline_ms > 0) {
     // The deadline covers the full request lifetime from admission: queue
     // wait counts against it, so an overloaded service times the query out
     // instead of running it long after the client gave up.
-    task.has_deadline = true;
-    task.deadline =
-        task.enqueue_time + std::chrono::milliseconds(spec.deadline_ms);
+    task->has_deadline = true;
+    task->deadline =
+        task->enqueue_time + std::chrono::milliseconds(deadline_ms);
   }
-  task.spec = std::move(spec);
-  if (result_cache_ != nullptr) {
-    // Cross-query sharing (DESIGN.md §13). Hits and coalesced waiters
-    // resolve without entering a queue (and without counting in
-    // completed/failed — like rejected, they were never admitted); a miss
-    // rides the task as the single-flight owner.
-    const uint64_t epoch = network_epoch();
-    std::string key = CanonicalCacheKey(task.spec, epoch);
-    ResultCache::Lookup lookup = result_cache_->Acquire(key, epoch);
-    switch (lookup.outcome) {
-      case ResultCache::Lookup::Outcome::kHit: {
-        metrics_.cache_hit->Add(1);
-        std::promise<QueryResult> ready;
-        std::future<QueryResult> future = ready.get_future();
-        ready.set_value(std::move(lookup.cached));
-        return future;
-      }
-      case ResultCache::Lookup::Outcome::kCoalesced: {
-        metrics_.cache_coalesced->Add(1);
-        if (!task.has_deadline) return std::move(lookup.future);
-        // A coalesced waiter never enters the queue where deadlines are
-        // enforced, and deadline_ms is normalized out of the cache key —
-        // so enforce this waiter's own deadline when its future is
-        // consumed instead of inheriting the owning flight's unbounded
-        // wait. Deferred: runs on the consumer's get()/wait() call.
-        return std::async(
-            std::launch::deferred,
-            [fut = std::move(lookup.future),
-             deadline = task.deadline]() mutable -> QueryResult {
-              if (fut.wait_until(deadline) == std::future_status::timeout) {
-                QueryResult timed_out;
-                timed_out.status = Status::DeadlineExceeded(
-                    "deadline exceeded while coalesced on an identical "
-                    "in-flight query");
-                return timed_out;
-              }
-              return fut.get();
-            });
-      }
-      case ResultCache::Lookup::Outcome::kMiss:
-        metrics_.cache_miss->Add(1);
-        task.cache_flight = std::move(lookup.flight);
-        task.cache_key = std::move(key);
-        task.cache_epoch = epoch;
-        break;
+}
+
+std::optional<std::future<QueryResult>> QueryService::AdmitQuery(
+    api::QuerySpec spec, Task* task) {
+  task->home_shard = HomeShard(spec.location);
+  StampAdmission(spec.deadline_ms, task);
+  task->spec = std::move(spec);
+  if (result_cache_ == nullptr) return std::nullopt;
+  // Cross-query sharing (DESIGN.md §13). Hits and coalesced waiters
+  // resolve without entering a queue (and without counting in
+  // completed/failed — like rejected, they were never admitted); a miss
+  // rides the task as the single-flight owner.
+  const uint64_t epoch = network_epoch();
+  std::string key = CanonicalCacheKey(task->spec, epoch);
+  ResultCache::Lookup lookup = result_cache_->Acquire(key, epoch);
+  switch (lookup.outcome) {
+    case ResultCache::Lookup::Outcome::kHit: {
+      metrics_.cache_hit->Add(1);
+      std::promise<QueryResult> ready;
+      std::future<QueryResult> future = ready.get_future();
+      ready.set_value(std::move(lookup.cached));
+      return future;
     }
+    case ResultCache::Lookup::Outcome::kCoalesced: {
+      metrics_.cache_coalesced->Add(1);
+      if (!task->has_deadline) return std::move(lookup.future);
+      // A coalesced waiter never enters the queue where deadlines are
+      // enforced, and deadline_ms is normalized out of the cache key —
+      // so enforce this waiter's own deadline when its future is
+      // consumed instead of inheriting the owning flight's unbounded
+      // wait. Deferred: runs on the consumer's get()/wait() call.
+      return std::async(
+          std::launch::deferred,
+          [fut = std::move(lookup.future),
+           deadline = task->deadline]() mutable -> QueryResult {
+            if (fut.wait_until(deadline) == std::future_status::timeout) {
+              QueryResult timed_out;
+              timed_out.status = Status::DeadlineExceeded(
+                  "deadline exceeded while coalesced on an identical "
+                  "in-flight query");
+              return timed_out;
+            }
+            return fut.get();
+          });
+    }
+    case ResultCache::Lookup::Outcome::kMiss:
+      metrics_.cache_miss->Add(1);
+      task->cache_flight = std::move(lookup.flight);
+      task->cache_key = std::move(key);
+      task->cache_epoch = epoch;
+      break;
+  }
+  return std::nullopt;
+}
+
+std::future<QueryResult> QueryService::Submit(api::QuerySpec spec) {
+  Task task;
+  if (auto answered = AdmitQuery(std::move(spec), &task)) {
+    return std::move(*answered);
   }
   return Enqueue(std::move(task));
+}
+
+QueryResult QueryService::SubmitAndWait(api::QuerySpec spec) {
+  Task task;
+  if (auto answered = AdmitQuery(std::move(spec), &task)) {
+    return answered->get();
+  }
+  return RunInlineOrWait(std::move(task));
 }
 
 Result<SessionId> QueryService::OpenSession(api::QuerySpec spec) {
@@ -512,35 +608,39 @@ bool QueryService::MakeSessionRoom(
   return true;
 }
 
-std::future<QueryResult> QueryService::SessionNext(SessionId id, int n) {
+Status QueryService::AdmitSessionBatch(SessionId id, int n, Task* task) {
   std::shared_ptr<Session> session;
   {
     MutexLock lock(&sessions_mu_);
     auto it = sessions_.find(id);
     if (it == sessions_.end()) {
-      return ReadyFailure(Status::NotFound(
-          "SessionNext: unknown or evicted session " + std::to_string(id)));
+      return Status::NotFound("SessionNext: unknown or evicted session " +
+                              std::to_string(id));
     }
     session = it->second;
     session->inflight.fetch_add(1, std::memory_order_acq_rel);
     session->last_used = std::chrono::steady_clock::now();
   }
+  task->batch_n = n;
+  task->home_shard = session->home_shard;
+  // A session's deadline applies per batch, re-anchored at each pull.
+  StampAdmission(session->spec.deadline_ms, task);
+  task->session = std::move(session);
+  return Status::OK();
+}
+
+std::future<QueryResult> QueryService::SessionNext(SessionId id, int n) {
   Task task;
-  task.batch_n = n;
-  task.home_shard = session->home_shard;
-  task.trace = obs::CurrentTraceContext();
-  if (!task.trace.active()) task.trace = obs::StartQueryTrace();
-  obs::RecordInstant(task.trace, obs::EventType::kAdmission,
-                     task.home_shard);
-  task.enqueue_time = std::chrono::steady_clock::now();
-  if (session->spec.deadline_ms > 0) {
-    // A session's deadline applies per batch, re-anchored at each pull.
-    task.has_deadline = true;
-    task.deadline = task.enqueue_time +
-                    std::chrono::milliseconds(session->spec.deadline_ms);
-  }
-  task.session = std::move(session);
+  Status admitted = AdmitSessionBatch(id, n, &task);
+  if (!admitted.ok()) return ReadyFailure(std::move(admitted));
   return Enqueue(std::move(task));
+}
+
+QueryResult QueryService::SessionNextAndWait(SessionId id, int n) {
+  Task task;
+  Status admitted = AdmitSessionBatch(id, n, &task);
+  if (!admitted.ok()) return FailedResult(std::move(admitted));
+  return RunInlineOrWait(std::move(task));
 }
 
 Status QueryService::CloseSession(SessionId id) {
@@ -573,6 +673,15 @@ void QueryService::Shutdown(bool drain) {
   }
   pool_->Shutdown(drain);
   {
+    // Close the inline route and wait out the requests still on it:
+    // nothing may execute once the storage thaws.
+    MutexLock lock(&slots_mu_);
+    inline_closed_ = true;
+    while (idle_slots_.size() < slots_.size()) {
+      slot_released_.Wait(&slots_mu_);
+    }
+  }
+  {
     // Drop the streams (their pools read the shared storage) before the
     // read-only freeze is lifted.
     MutexLock lock(&sessions_mu_);
@@ -581,22 +690,17 @@ void QueryService::Shutdown(bool drain) {
   storage_->EndConcurrentReads();
 }
 
-void QueryService::Execute(Task&& task, int worker_index) {
-  Worker& worker = *workers_[worker_index];
-  if (opts_.pin_workers && !worker.pinned) {
-    // Worker i on CPU i; a worker executes on a fixed pool thread, so
-    // pinning on the first task pins that thread for good. Best-effort
-    // by design.
-    PinCurrentThreadToCpu(worker_index);
-    worker.pinned = true;
-  }
+QueryResult QueryService::Execute(Task& task, int slot_index) {
+  Slot& slot = *slots_[slot_index];
+  // Claims keep a slot single-threaded (DESIGN.md §6); a second thread in
+  // here would share its readers and pools.
+  MCN_DCHECK(!slot.entered.exchange(true, std::memory_order_acquire));
   const bool is_session = task.session != nullptr;
-  // Install the query's trace identity for everything this worker (and
+  // Install the query's trace identity for everything this thread (and
   // the probe pool it may fan out to) does on its behalf.
   const obs::TraceContextScope trace_scope(task.trace);
   obs::RecordSpanSince(task.trace, obs::EventType::kQueueWait,
-                       task.enqueue_time,
-                       static_cast<uint64_t>(worker_index));
+                       task.enqueue_time, static_cast<uint64_t>(slot_index));
   QueryResult result;
   if (task.has_deadline &&
       std::chrono::steady_clock::now() >= task.deadline) {
@@ -617,13 +721,13 @@ void QueryService::Execute(Task&& task, int worker_index) {
                                          : task.spec.kind));
     result = is_session
                  ? RunSessionBatch(*task.session, task.batch_n, cancel)
-                 : RunQuery(task.spec, task.home_shard, worker, cancel);
+                 : RunQuery(task.spec, task.home_shard, slot, cancel);
   }
   if (is_session) {
     obs::RecordInstant(task.trace, obs::EventType::kSessionBatch,
                        static_cast<uint64_t>(task.batch_n));
   }
-  result.stats.worker = worker_index;
+  result.stats.worker = slot_index;
   result.stats.shard = static_cast<int>(task.home_shard);
   // Taken before the stall is slept, so the queue wait never absorbs it.
   result.stats.queue_seconds =
@@ -643,53 +747,53 @@ void QueryService::Execute(Task&& task, int worker_index) {
   // wait and exec spans at equal start timestamp).
   obs::RecordSpanSince(task.trace, obs::EventType::kQuery, task.enqueue_time,
                        static_cast<uint64_t>(result.kind));
-  // Service aggregation: shared lock-free instruments, slot = worker
-  // index — no mutex, no cross-worker cache-line traffic (DESIGN.md §11).
-  const int slot = worker_index;
+  // Service aggregation: shared lock-free instruments at the slot's
+  // index — no mutex, and no cache line shared with a request running on
+  // another slot (DESIGN.md §11).
   if (result.status.ok()) {
-    metrics_.completed->Add(1, slot);
-    if (is_session) metrics_.session_batches->Add(1, slot);
-    metrics_.shard_completed[task.home_shard]->Add(1, slot);
+    metrics_.completed->Add(1, slot_index);
+    if (is_session) metrics_.session_batches->Add(1, slot_index);
+    metrics_.shard_completed[task.home_shard]->Add(1, slot_index);
   } else {
-    metrics_.failed->Add(1, slot);
+    metrics_.failed->Add(1, slot_index);
     if (result.status.code() == StatusCode::kDeadlineExceeded) {
-      metrics_.timed_out->Add(1, slot);
+      metrics_.timed_out->Add(1, slot_index);
     } else if (result.status.code() == StatusCode::kCancelled) {
-      metrics_.cancelled->Add(1, slot);
+      metrics_.cancelled->Add(1, slot_index);
     }
   }
   metrics_.latency_us->Record(
-      static_cast<uint64_t>(result.stats.latency_seconds * 1e6), slot);
-  metrics_.buffer_misses->Add(result.stats.buffer_misses, slot);
-  metrics_.buffer_accesses->Add(result.stats.buffer_accesses, slot);
+      static_cast<uint64_t>(result.stats.latency_seconds * 1e6), slot_index);
+  metrics_.buffer_misses->Add(result.stats.buffer_misses, slot_index);
+  metrics_.buffer_accesses->Add(result.stats.buffer_accesses, slot_index);
   if (result.stats.prune_checked > 0) {
-    metrics_.prune_checked->Add(result.stats.prune_checked, slot);
-    metrics_.prune_cut->Add(result.stats.prune_cut, slot);
+    metrics_.prune_checked->Add(result.stats.prune_checked, slot_index);
+    metrics_.prune_cut->Add(result.stats.prune_cut, slot_index);
     obs::RecordInstant(task.trace, obs::EventType::kProbePrune,
                        result.stats.prune_cut, result.stats.prune_checked);
   }
   metrics_.cpu_micros->Add(
-      static_cast<uint64_t>(result.stats.exec_seconds * 1e6), slot);
+      static_cast<uint64_t>(result.stats.exec_seconds * 1e6), slot_index);
   metrics_.stall_micros->Add(
-      static_cast<uint64_t>(result.stats.stall_seconds * 1e6), slot);
+      static_cast<uint64_t>(result.stats.stall_seconds * 1e6), slot_index);
   metrics_.queue_micros->Add(
       static_cast<uint64_t>(std::max(result.stats.queue_seconds, 0.0) * 1e6),
-      slot);
+      slot_index);
   metrics_.shard_misses[task.home_shard]->Add(result.stats.buffer_misses,
-                                              slot);
-  // Routed fetches of whichever reader set ran the task — the worker's,
-  // its probe rig's, or a session's own — land on the request's home
-  // shard, like its misses.
+                                              slot_index);
+  // Routed fetches of whichever reader set ran the task — the slot's, its
+  // probe rig's, or a session's own — land on the request's home shard,
+  // like its misses.
   metrics_.shard_local_fetches[task.home_shard]->Add(
-      result.stats.local_fetches, slot);
+      result.stats.local_fetches, slot_index);
   metrics_.shard_remote_fetches[task.home_shard]->Add(
-      result.stats.remote_fetches, slot);
+      result.stats.remote_fetches, slot_index);
   if (opts_.flight_recorder != nullptr) {
     obs::QueryDigest digest;
     digest.trace_query_id = task.trace.query_id;
     digest.kind = is_session ? "session"
                              : api::QueryKindName(task.spec.kind);
-    digest.worker = worker_index;
+    digest.worker = slot_index;
     digest.shard = result.stats.shard;
     digest.status = std::string(StatusCodeToString(result.status.code()));
     digest.session_batch = is_session;
@@ -726,17 +830,14 @@ void QueryService::Execute(Task&& task, int worker_index) {
     task.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
   }
   if (task.cache_flight != nullptr) {
-    // Publish before resolving the owner's promise: waiters and the store
-    // are settled by the time any client sees the result. Failures (and
-    // stale epochs) are not stored; waiters share the flight's fate.
+    // Publish before the owner sees the result: waiters and the store are
+    // settled by the time any client does. Failures (and stale epochs)
+    // are not stored; waiters share the flight's fate.
     result_cache_->Complete(task.cache_flight, task.cache_key,
                             task.cache_epoch, result);
   }
-  task.promise.set_value(std::move(result));
-  if (opts_.max_inflight > 0) {
-    // Return the admission ticket last: the query is no longer in flight.
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  MCN_DCHECK(slot.entered.exchange(false, std::memory_order_release));
+  return result;
 }
 
 QueryResult QueryService::RunSessionBatch(Session& session, int n,
@@ -750,7 +851,7 @@ QueryResult QueryService::RunSessionBatch(Session& session, int n,
     return result;
   }
   // One batch at a time per session; concurrent SessionNext calls on the
-  // same id serialize here (each on whichever worker dequeued it).
+  // same id serialize here (each on whichever slot runs it).
   MutexLock lock(&session.mu);
   if (session.reader == nullptr) {
     // First batch: build the session's private reader set (no I/O yet —
@@ -787,7 +888,7 @@ QueryResult QueryService::RunSessionBatch(Session& session, int n,
     // constrained batch still fills up, DESIGN.md §9) or the component is
     // exhausted.
     const auto& constraints = session.spec.preference.constraints;
-    // The token lives on this worker's stack; install it for the batch
+    // The token lives on this thread's stack; install it for the batch
     // only — the engine outlives it across batches.
     session.engine->SetCancelToken(cancel);
     auto batch = session.query->NextBatch(
@@ -808,13 +909,13 @@ QueryResult QueryService::RunSessionBatch(Session& session, int n,
 }
 
 QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
-                                   shard::ShardId home, Worker& worker,
+                                   shard::ShardId home, Slot& slot,
                                    const CancelToken* cancel) {
   QueryResult result;
   result.kind = spec.kind;
   result.result_hash = algo::kFnvOffsetBasis;
 
-  // Full semantic validation on the executing worker: malformed specs —
+  // Full semantic validation on the executing thread: malformed specs —
   // wrong-size/negative weights, bad k, bad constraints — surface as an
   // error result (rejectable over the wire), never a CHECK crash.
   Status valid = spec.Validate(num_costs());
@@ -824,41 +925,41 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
   }
 
   // Intra-query parallelism: 0 = width-1 turns and 1 = wide turns, both
-  // inline over the worker's own reader; > 1 = pooled wide turns on the
-  // worker's ExpansionExecutor (clamped to the service's configuration).
+  // inline over the slot's own reader; > 1 = pooled wide turns on the
+  // slot's ExpansionExecutor (clamped to the service's configuration).
   const int par = std::min<int>(spec.parallelism, opts_.per_query_parallelism);
-  if (par > 1 && worker.expansion == nullptr) {
+  if (par > 1 && slot.expansion == nullptr) {
     // Built lazily on the first parallel request, so a service whose
     // clients never opt in pays no probe threads or extra pools. Safe
-    // here: a worker runs one query at a time on its own thread.
+    // here: a slot runs one query at a time.
     auto executor = ExpansionExecutor::Create(
         storage_, files_, opts_.per_query_parallelism,
         opts_.pool_frames_per_worker, opts_.split_pool_across_shards);
     MCN_CHECK(executor.ok());
-    worker.expansion = std::move(executor).value();
+    slot.expansion = std::move(executor).value();
   }
   const bool pooled = par > 1;
   // Local/remote fetches count against the request's own tile, whichever
-  // worker runs it.
-  worker.reader->set_home_shard(home);
-  if (worker.expansion != nullptr) worker.expansion->SetHomeShard(home);
+  // slot runs it.
+  slot.reader->set_home_shard(home);
+  if (slot.expansion != nullptr) slot.expansion->SetHomeShard(home);
 
   if (opts_.cold_cache_per_query) {
-    worker.reader->ResetIoState();
-    if (worker.expansion != nullptr) worker.expansion->ResetIoState();
+    slot.reader->ResetIoState();
+    if (slot.expansion != nullptr) slot.expansion->ResetIoState();
     // The index pool follows the same independent-query model, so a
     // query's prune I/O is deterministic regardless of what ran before.
-    if (worker.landmark != nullptr) worker.landmark->ResetIoState();
+    if (slot.landmark != nullptr) slot.landmark->ResetIoState();
   }
   auto sample = [&] {
-    IoCounters c{pooled ? worker.expansion->PoolStats()
-                        : worker.reader->PoolStats(),
-                 pooled ? worker.expansion->ShardIoStats()
-                        : worker.reader->shard_io_stats()};
-    if (worker.landmark != nullptr) {
+    IoCounters c{pooled ? slot.expansion->PoolStats()
+                        : slot.reader->PoolStats(),
+                 pooled ? slot.expansion->ShardIoStats()
+                        : slot.reader->shard_io_stats()};
+    if (slot.landmark != nullptr) {
       // Honest I/O accounting: what the oracle spends on index pages is
       // part of the query's miss total, not hidden in a side pool.
-      const storage::BufferPool::Stats li = worker.landmark->pool().stats();
+      const storage::BufferPool::Stats li = slot.landmark->pool().stats();
       c.pool.hits += li.hits;
       c.pool.misses += li.misses;
       c.pool.evictions += li.evictions;
@@ -871,7 +972,7 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
   std::unique_ptr<expand::NnEngine> engine;
   std::unique_ptr<expand::ParallelProbeScheduler> scheduler;
   if (pooled) {
-    auto rig = worker.expansion->NewQuery(spec.location);
+    auto rig = slot.expansion->NewQuery(spec.location);
     if (rig.ok()) {
       engine = std::move(rig->engine);
       scheduler = std::move(rig->scheduler);
@@ -885,7 +986,7 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
     // turns run the spec's engine.
     auto made = expand::MakeEngine(
         par >= 1 ? expand::EngineKind::kCea : spec.engine,
-        worker.reader.get(), spec.location);
+        slot.reader.get(), spec.location);
     if (made.ok()) {
       engine = std::move(made).value();
       scheduler = std::make_unique<expand::ParallelProbeScheduler>(
@@ -904,7 +1005,7 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
     exec.scheduler = scheduler.get();
     // The skyline processor arms the prune oracle only where it is exact
     // (round-robin at parallelism 0); the others ignore the index.
-    exec.landmark_index = worker.landmark.get();
+    exec.landmark_index = slot.landmark.get();
     result.status = RunProcessor(spec, engine.get(), exec, &result);
   }
   FinishExecStats(watch, before, sample(), &result.stats);

@@ -4,19 +4,24 @@
 //   * a shared, read-only shard::ShardedStorage of K per-tile disks (K = 1
 //     is the paper's single-disk layout), frozen for the service's
 //     lifetime via BeginConcurrentReads,
-//   * one reader per worker — a routing shard::ShardedNetworkReader with
-//     one BufferPool per shard — never shared across threads, and
-//   * one work queue: a fixed-size ThreadPool over a lock-free MPMC ring
-//     that every worker drains, whatever shard a request starts on.
+//   * num_workers execution slots. A slot holds the query state a request
+//     runs on: a routing shard::ShardedNetworkReader with one BufferPool
+//     per shard, the landmark reader and the probe rig when configured,
+//     and its metrics slot index. A thread claims a slot for one request
+//     at a time, so a slot's state is never shared between threads and at
+//     most num_workers requests execute at once, and
+//   * one work queue: a fixed-size ThreadPool of num_workers threads over
+//     a lock-free MPMC ring, whatever shard a request starts on. A pool
+//     thread claims a slot for each task it dequeues.
 //     Admission gives each request a *home shard*, the tile owning its
 //     location under the routing table; the executing reader is bound to
 //     it, so per-shard statistics book the request on its own tile and
 //     fetches that escape the tile count as remote. With
-//     ServiceOptions::pin_workers, worker i is pinned (best-effort,
+//     ServiceOptions::pin_workers, pool thread i is pinned (best-effort,
 //     sched_setaffinity) to CPU i.
 //
 // Every entry point speaks api::QuerySpec (the unified preference-query
-// API, DESIGN.md §9): Submit validates the spec on the executing worker —
+// API, DESIGN.md §9): Submit validates the spec on the executing thread —
 // malformed specs resolve their future with an InvalidArgument result
 // instead of crashing — runs it with a freshly constructed engine
 // (LSA/CEA d-expansions + CandidateStore are per-query state, so nothing
@@ -26,22 +31,29 @@
 // typed result rows, an FNV result hash (byte-identical to a
 // single-threaded run — and to every other shard count K: the parity
 // anchor of the service bench and tests), and per-query stats.
+// SubmitAndWait and SessionNextAndWait are the synchronous forms, with the
+// same admission. When a slot is idle and no queued task waits for one,
+// they run the request on the caller's own thread (the inline route);
+// otherwise they queue it and wait. api::Server answers wire requests
+// through them, so an uncontended wire request never leaves the
+// connection thread that decoded it.
 //
 // Streaming incremental sessions (DESIGN.md §9): OpenSession pins an
 // incremental spec to a session — its own LRU pool set, engine and
-// algo::IncrementalTopK iterator, created lazily by whichever worker runs
+// algo::IncrementalTopK iterator, created lazily by whichever thread runs
 // its first batch and kept warm across batches — and SessionNext pulls
 // further NextBest batches from that same engine. The session table
 // is bounded (ServiceOptions::max_sessions) with lazy idle eviction.
 //
-// Statistics (DESIGN.md §11): workers record into the service's
-// obs::Registry under the names in metric_names below — outcomes,
-// failures (rejected, timed out, cancelled), latency histogram, buffer
-// I/O, cache outcomes, and per-shard completions and local/remote
-// fetches. MetricsSnapshot() is the one stats surface: the registry plus
-// the storage's disk reads, the cache's evictions and a few gauges, all
-// counted since construction or the last ResetStats(). Callers, the
-// benches and kGetMetrics read its rows by name.
+// Statistics (DESIGN.md §11): executing threads record into the service's
+// obs::Registry under the names in metric_names below, at their slot's
+// index — outcomes, failures (rejected, timed out, cancelled), inline
+// runs, latency histogram, buffer I/O, cache outcomes, and per-shard
+// completions and local/remote fetches. MetricsSnapshot() is the one
+// stats surface: the registry plus the storage's disk reads, the cache's
+// evictions and a few gauges, all counted since construction or the last
+// ResetStats(). Callers, the benches and kGetMetrics read its rows by
+// name.
 #ifndef MCN_EXEC_QUERY_SERVICE_H_
 #define MCN_EXEC_QUERY_SERVICE_H_
 
@@ -50,6 +62,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -90,11 +103,12 @@ using QueryKind = api::QueryKind;
 /// never reused.
 using SessionId = uint64_t;
 
-/// Per-query measurements taken on the executing worker.
+/// Per-query measurements taken on the executing thread.
 struct QueryStats {
-  int worker = -1;
+  int worker = -1;           ///< execution slot the request ran on
   int shard = -1;            ///< home shard: the tile of the location
-  double queue_seconds = 0;  ///< submit -> start of execution
+  /// Admission -> start of execution; about 0 on the inline route.
+  double queue_seconds = 0;
   double exec_seconds = 0;   ///< engine construction + query computation
   /// Modeled I/O time: buffer_misses x ServiceOptions::io_latency_ms, the
   /// paper's one-latency-per-miss charge.
@@ -112,7 +126,7 @@ struct QueryStats {
   /// Prune-oracle work for this query (skyline + enable_prune_index only):
   /// frontier pops tested against the landmark bound, and the subset cut
   /// before their adjacency probe. buffer_misses includes the index pool's
-  /// misses when the worker holds an index reader, so the reported I/O is
+  /// misses when the slot holds an index reader, so the reported I/O is
   /// the honest total.
   uint64_t prune_checked = 0;
   uint64_t prune_cut = 0;
@@ -140,14 +154,15 @@ struct QueryResult {
 };
 
 struct ServiceOptions {
+  /// Execution slots, and the pool threads that run queued tasks on them.
   int num_workers = 4;
   /// Ring capacity of the service's work queue; Submit applies
   /// back-pressure (blocks) when this many queries are already waiting.
   size_t queue_capacity = 1024;
-  /// LRU frames per worker (the paper's buffer size; see
-  /// gen::BufferFrames). Every worker gets the same capacity so per-query
+  /// LRU frames per execution slot (the paper's buffer size; see
+  /// gen::BufferFrames). Every slot gets the same capacity so per-query
   /// miss counts match a single-threaded run exactly. The budget is split
-  /// exactly across the worker's K shard pools
+  /// exactly across the slot's K shard pools
   /// (shard::SplitFramesAcrossShards — remainder frames are distributed,
   /// not dropped). Sessions get the same budget, so a session stream's
   /// logical I/O matches a local IncrementalTopK run.
@@ -155,8 +170,8 @@ struct ServiceOptions {
   /// Modeled I/O latency charged per buffer miss (as in the bench harness).
   double io_latency_ms = 5.0;
   /// Sleep each request's modeled stall for real, once, after it
-  /// executes, so wall-clock throughput reflects I/O waits that workers
-  /// overlap. Keep off for pure-CPU tests.
+  /// executes, so wall-clock throughput reflects I/O waits that
+  /// concurrent requests overlap. Keep off for pure-CPU tests.
   bool simulate_io_stalls = false;
   /// Cross-query result sharing (DESIGN.md §13): > 0 bounds an LRU cache
   /// of finished one-shot results keyed by canonical spec + network
@@ -164,30 +179,31 @@ struct ServiceOptions {
   /// requests. 0 disables caching entirely (byte-stable default).
   /// Sessions always bypass the cache.
   size_t result_cache_entries = 0;
-  /// Clear + reset the worker's pools before each query (the paper's
+  /// Clear + reset the slot's pools before each query (the paper's
   /// independent-query model; also what makes per-query miss counts
-  /// deterministic across worker counts). When false, a worker's pools
-  /// stay warm across the queries it happens to execute. Sessions are
+  /// deterministic across worker counts). When false, a slot's pools
+  /// stay warm across the queries that happen to run on it. Sessions are
   /// never reset between batches — warm continuation is their point.
   bool cold_cache_per_query = true;
-  /// Probe threads available to one query (DESIGN.md §7). > 1 lets a
-  /// service worker build its own ExpansionExecutor — lazily, on the
-  /// worker's first request with parallelism > 1, so services whose
-  /// clients never opt in pay nothing; the worker's later parallel
+  /// Probe threads available to one query (DESIGN.md §7). > 1 lets an
+  /// execution slot build its own ExpansionExecutor — lazily, on the
+  /// slot's first request with parallelism > 1, so services whose
+  /// clients never opt in pay nothing; the slot's later parallel
   /// queries then share that executor's probe pool and reader slots.
   /// Requests opt in per query via QuerySpec::parallelism.
   /// 1 = turn-schedule requests run inline.
   int per_query_parallelism = 1;
-  /// How pool_frames_per_worker maps onto a worker's K shard pools. true
+  /// How pool_frames_per_worker maps onto a slot's K shard pools. true
   /// divides the budget exactly (iso-memory in K — total frames constant,
   /// at the price of LRU capacity fragmentation); false gives every shard
   /// pool the full budget — the per-socket memory model, where each
   /// socket contributes its own DIMMs and aggregate buffer grows with K.
   /// The two agree at K = 1.
   bool split_pool_across_shards = true;
-  /// Best-effort CPU pinning of worker i's thread to CPU i (DESIGN.md §8).
-  /// A feature flag: refused affinity syscalls (CI containers, non-Linux)
-  /// are silently ignored, so correctness and CI never depend on it.
+  /// Best-effort CPU pinning of pool thread i to CPU i (DESIGN.md §8).
+  /// Callers running requests inline are never pinned. A feature flag:
+  /// refused affinity syscalls (CI containers, non-Linux) are silently
+  /// ignored, so correctness and CI never depend on it.
   bool pin_workers = false;
   /// Bound on concurrently open streaming sessions (DESIGN.md §9). An
   /// OpenSession beyond the bound evicts the least-recently-used idle
@@ -209,7 +225,7 @@ struct ServiceOptions {
   obs::FlightRecorder* flight_recorder = nullptr;
   /// Landmark lower-bound pruning (DESIGN.md §12). Opt-in: when true and
   /// the served network carries a built index
-  /// (ShardedNetworkFiles::landmark), every worker gets a validated
+  /// (ShardedNetworkFiles::landmark), every slot gets a validated
   /// LandmarkIndexReader (its own small pool, charged separately from the
   /// network pools) and skyline queries at parallelism 0 run with the
   /// prune oracle.
@@ -237,6 +253,10 @@ inline constexpr char kTimedOut[] = "mcn.service.timed_out";
 inline constexpr char kCancelled[] = "mcn.service.cancelled";
 /// Session batches (also counted in completed/failed).
 inline constexpr char kSessionBatches[] = "mcn.service.session_batches";
+/// Requests (one-shot or session batch) that SubmitAndWait /
+/// SessionNextAndWait ran on the caller's own thread; the rest of
+/// completed + failed went through the work queue.
+inline constexpr char kInline[] = "mcn.service.inline";
 inline constexpr char kBufferMisses[] = "mcn.service.buffer_misses";
 inline constexpr char kBufferAccesses[] = "mcn.service.buffer_accesses";
 inline constexpr char kPruneChecked[] = "mcn.service.prune_checked";
@@ -298,18 +318,27 @@ class QueryService {
   /// ready with a FailedPrecondition result.
   std::future<QueryResult> Submit(api::QuerySpec spec);
 
+  /// Submit(spec).get(), with one difference (DESIGN.md §6). After the
+  /// same admission — result cache, max_inflight, deadline anchor, trace
+  /// context — a request that finds an idle execution slot and no queued
+  /// task waiting for one runs on the calling thread, with no queue and
+  /// no hand-off between threads, and is counted in metric_names::kInline.
+  /// Otherwise it is queued and the caller waits for it, as Submit's
+  /// would. Results and logical I/O are identical on both routes.
+  QueryResult SubmitAndWait(api::QuerySpec spec);
+
   /// Opens a streaming incremental session for `spec` (kind must be
   /// kIncrementalTopK; the spec's k is advisory only — batch sizes are
   /// chosen per SessionNext call). The session's home shard is the tile of
-  /// its location; its engine is built lazily, on whichever worker
-  /// executes the first SessionNext. Fails when the spec is invalid or
+  /// its location; its engine is built lazily, by whichever thread
+  /// executes the first batch. Fails when the spec is invalid or
   /// the session table is full of busy sessions.
   Result<SessionId> OpenSession(api::QuerySpec spec);
 
   /// Pulls the next `n` ranked results from the session's pinned engine
-  /// (on any worker). Batches on one session serialize — a pipelined
-  /// batch waits *on its executing worker* for the previous one, so keep
-  /// per-session pipelining shallow or it parks workers (the wire server
+  /// (on any slot). Batches on one session serialize — a pipelined batch
+  /// waits *on its execution slot* for the previous one, so keep
+  /// per-session pipelining shallow or it parks slots (the wire server
   /// never pipelines: one request per connection is in flight, and
   /// connections only reach their own sessions). An
   /// unknown/evicted id resolves with NotFound. A batch shorter than `n`
@@ -317,17 +346,22 @@ class QueryService {
   /// result); later batches are empty, never errors.
   std::future<QueryResult> SessionNext(SessionId id, int n);
 
+  /// SessionNext(id, n).get(), taking the inline route by the rule of
+  /// SubmitAndWait.
+  QueryResult SessionNextAndWait(SessionId id, int n);
+
   /// Closes (evicts) a session. NotFound for unknown/already-closed ids.
   /// An in-flight batch finishes normally.
   Status CloseSession(SessionId id);
 
-  /// Waits until every submitted query has completed.
+  /// Waits until every queued task has completed (inline requests finish
+  /// before their call returns).
   void Drain();
 
-  /// Stops the workers and drops every open session. drain=true completes
-  /// the backlog first; drain=false discards it — a discarded query's
-  /// future resolves with a FailedPrecondition result (futures never
-  /// throw). Idempotent.
+  /// Stops the pool threads, waits out inline requests still running and
+  /// drops every open session. drain=true completes the backlog first;
+  /// drain=false discards it — a discarded query's future resolves with a
+  /// FailedPrecondition result (futures never throw). Idempotent.
   void Shutdown(bool drain = true);
 
   /// The service's statistics (DESIGN.md §11): every registry instrument
@@ -342,7 +376,10 @@ class QueryService {
   /// flight.
   void ResetStats();
 
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  int num_workers() const { return static_cast<int>(slots_.size()); }
+  /// Tasks the pool threads have executed: everything Submit and
+  /// SessionNext admitted, and the synchronous calls that were queued.
+  uint64_t pool_executed() const { return pool_->executed(); }
   /// The served network's cost dimensionality d (what specs validate
   /// against).
   int num_costs() const { return files_.num_costs; }
@@ -389,8 +426,8 @@ class QueryService {
     std::chrono::steady_clock::time_point last_used{};
   };
 
-  /// What rides the MPMC queue: a one-shot spec or a session batch pull,
-  /// plus the promise.
+  /// One admitted request: a one-shot spec or a session batch pull, plus
+  /// the promise a queued one resolves.
   struct Task {
     api::QuerySpec spec;
     std::shared_ptr<Session> session;  ///< non-null: session batch
@@ -407,7 +444,7 @@ class QueryService {
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline{};
     /// Trace identity stamped at admission (inactive when tracing is off);
-    /// the executing worker installs it thread-locally for the query.
+    /// the executing thread installs it thread-locally for the query.
     obs::TraceContext trace;
     /// Result-cache single-flight token (DESIGN.md §13): non-null on the
     /// one task computing a cache key. Whoever finishes the task — the
@@ -418,19 +455,22 @@ class QueryService {
     uint64_t cache_epoch = 0;
   };
 
-  /// Per-worker state: a reader (owning its per-shard pool set) confined
-  /// to one worker thread. Service aggregation lives in the service's
-  /// obs::Registry — workers record through shared lock-free instruments,
-  /// slot = worker index (DESIGN.md §11).
-  struct Worker {
+  /// One execution slot (DESIGN.md §6): the query state a request runs
+  /// on. Whoever claims the slot — a pool thread for a queued task or a
+  /// caller on the inline route — holds it for one request, so its readers
+  /// and pools are only ever used by one thread at a time. Executing
+  /// threads record into the service's obs::Registry at the slot's index
+  /// (DESIGN.md §11).
+  struct Slot {
     std::unique_ptr<shard::ShardedNetworkReader> reader;
-    bool pinned = false;  ///< pin attempted (worker-thread confined)
     /// Intra-query probe rig; only built when per_query_parallelism > 1.
     std::unique_ptr<ExpansionExecutor> expansion;
     /// Validated landmark-index reader (enable_prune_index and a present
-    /// index only); worker-thread confined like `reader`. Owns its own
-    /// small pool — see net::kLandmarkPoolFrames.
+    /// index only). Owns its own small pool — see net::kLandmarkPoolFrames.
     std::unique_ptr<net::LandmarkIndexReader> landmark;
+    /// Set while a thread executes on the slot; debug builds abort when a
+    /// second thread enters it meanwhile.
+    std::atomic<bool> entered{false};
   };
 
   /// Cached instrument handles (resolved once at construction; recording
@@ -442,6 +482,7 @@ class QueryService {
     obs::Counter* timed_out = nullptr;
     obs::Counter* cancelled = nullptr;
     obs::Counter* session_batches = nullptr;
+    obs::Counter* ran_inline = nullptr;
     obs::Counter* buffer_misses = nullptr;
     obs::Counter* buffer_accesses = nullptr;
     obs::Counter* prune_checked = nullptr;
@@ -465,29 +506,65 @@ class QueryService {
                const shard::ShardedNetworkFiles& files,
                const ServiceOptions& options);
 
-  /// Builds one reader over the service's storage with the per-worker
-  /// pool budget, bound to `home` — the single construction path for
-  /// worker and session readers.
+  /// Builds one reader over the service's storage with the per-slot pool
+  /// budget (pool_frames_per_worker), bound to `home` — the single
+  /// construction path for slot and session readers.
   std::unique_ptr<shard::ShardedNetworkReader> MakeReader(
       shard::ShardId home) const;
   /// The shard owning `location` under the routing table.
   shard::ShardId HomeShard(const graph::Location& location) const;
 
-  /// Enqueues `task` on the work queue, resolving the future immediately
-  /// when the service is shut down.
+  /// Stamps `task` admitted now: trace context, admission event, the
+  /// anchor of its queue wait and of its deadline (`deadline_ms` > 0).
+  static void StampAdmission(int32_t deadline_ms, Task* task);
+  /// Admits a one-shot spec into `task` (Submit / SubmitAndWait). Returns
+  /// the answer when the result cache gives one — a hit, or a coalesced
+  /// waiter's future — and nothing when the task must execute.
+  std::optional<std::future<QueryResult>> AdmitQuery(api::QuerySpec spec,
+                                                     Task* task);
+  /// Admits a session batch into `task` (SessionNext / SessionNextAndWait),
+  /// taking the session's in-flight ticket; NotFound for an unknown id.
+  Status AdmitSessionBatch(SessionId id, int n, Task* task);
+
+  /// Takes the task's max_inflight ticket (DESIGN.md §10). Over the cap,
+  /// books the rejection, unadmits the task and returns the shed status.
+  Status TakeInflightTicket(Task& task);
+  /// Returns a max_inflight ticket (no-op when max_inflight is 0).
+  void ReturnInflightTicket();
+  /// Settles an admitted task that will not execute: returns its session
+  /// ticket and fails its cache flight, if any (coalesced waiters share
+  /// the fate). Every path that drops an admitted task must call this.
+  void Unadmit(Task& task, const Status& status);
+  /// Settles a task counted in queued_tasks_ that will not execute (the
+  /// pool refused or discarded it): uncounts it, returns its max_inflight
+  /// ticket and unadmits it.
+  void DropQueued(Task& task, const Status& status);
+  /// Takes the max_inflight ticket and enqueues `task`, resolving the
+  /// future immediately when it is shed or the service is shut down.
   std::future<QueryResult> Enqueue(Task&& task);
+  /// Enqueues a task that holds its max_inflight ticket.
+  std::future<QueryResult> EnqueueTicketed(Task&& task);
+  /// The synchronous forms' dispatch: takes the max_inflight ticket, then
+  /// the inline route when TryClaimSlotInline succeeds, else the queue.
+  QueryResult RunInlineOrWait(Task&& task);
 
-  /// Settles a task's cache flight with a failure (waiters share the
-  /// fate); no-op when the task carries none. Every path that resolves a
-  /// flighted task without executing it must call this.
-  void AbandonCacheFlight(Task& task, const Status& status);
+  /// Claims a slot for a task a pool thread dequeued, waiting while every
+  /// slot is held.
+  int ClaimSlotForQueued();
+  /// Claims an idle slot for the calling thread when no queued task waits
+  /// for one and Shutdown has not closed the inline route; -1 otherwise.
+  int TryClaimSlotInline();
+  void ReleaseSlot(int slot);
 
-  void Execute(Task&& task, int worker_index);
-  /// Runs the query on `worker`'s readers, bound to `home`; fills
+  /// Runs `task` on slot `slot_index`, which the calling thread holds, and
+  /// books it; everything but resolving the promise and returning the
+  /// max_inflight ticket.
+  QueryResult Execute(Task& task, int slot_index);
+  /// Runs the query on `slot`'s readers, bound to `home`; fills
   /// everything but the latency fields of the result stats. `cancel`
   /// (nullable) is checked cooperatively by the expansion layer.
   QueryResult RunQuery(const api::QuerySpec& spec, shard::ShardId home,
-                       Worker& worker, const CancelToken* cancel);
+                       Slot& slot, const CancelToken* cancel);
   /// Runs one session batch (creating the session's engine on first use).
   QueryResult RunSessionBatch(Session& session, int n,
                               const CancelToken* cancel);
@@ -506,7 +583,17 @@ class QueryService {
   shard::ShardedStorage* storage_;
   shard::ShardedNetworkFiles files_;
   ServiceOptions opts_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::unique_ptr<Slot>> slots_;
+  /// Slot claims (DESIGN.md §6).
+  Mutex slots_mu_;
+  CondVar slot_released_;
+  /// Unclaimed slots; the most recently released last.
+  std::vector<int> idle_slots_ MCN_GUARDED_BY(slots_mu_);
+  /// Tasks on the work queue or dequeued and waiting for a slot; the
+  /// inline route never overtakes them.
+  int64_t queued_tasks_ MCN_GUARDED_BY(slots_mu_) = 0;
+  /// Set by Shutdown: no more inline claims.
+  bool inline_closed_ MCN_GUARDED_BY(slots_mu_) = false;
   std::unique_ptr<ThreadPool<Task>> pool_;
   /// Queries admitted and not yet finished (max_inflight > 0 only).
   std::atomic<int64_t> inflight_{0};
@@ -520,7 +607,8 @@ class QueryService {
   std::atomic<uint64_t> network_epoch_{0};
   bool shut_down_ MCN_GUARDED_BY(sessions_mu_) = false;
   /// Service-scoped instrument registry (per-instance so tests and
-  /// side-by-side services never double-count), sized one slot per worker.
+  /// side-by-side services never double-count), sized one instrument slot
+  /// per execution slot.
   obs::Registry registry_;
   Metrics metrics_;
   /// The stats window: its start, and the storage's and the cache's

@@ -95,8 +95,6 @@ class ResultCache {
   };
   Stats stats() const MCN_EXCLUDES(mu_);
 
-  size_t max_entries() const { return max_entries_; }
-
  private:
   struct Entry {
     std::string key;

@@ -3,8 +3,9 @@
 // The pool is templated on the task type so move-only payloads (e.g. an
 // api::QuerySpec bundled with its std::promise) ride the queue without
 // type-erasure allocations; one Runner functor, supplied at construction,
-// executes every task and receives the worker index so callers can keep
-// per-worker state (the QueryService's per-worker ShardedNetworkReader).
+// executes every task and receives the worker index (the QueryService
+// pins pool thread i to CPU i with it; its query state lives in execution
+// slots that any thread may claim, DESIGN.md §6).
 //
 // Blocking is layered over the lock-free ring with two counting semaphores
 // (items/spaces) — the queue operations themselves stay lock-free, the

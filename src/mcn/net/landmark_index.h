@@ -87,8 +87,8 @@ Result<LandmarkIndexFiles> BuildLandmarkIndex(
     storage::DiskManager* disk, const graph::MultiCostGraph& graph,
     std::span<const graph::NodeId> landmarks, const std::string& file_name);
 
-/// Per-worker BufferPool-backed reader over a built index. Thread
-/// confinement follows the pool: one reader per worker thread. Index pages
+/// Per-slot BufferPool-backed reader over a built index. Thread
+/// confinement follows the pool: one thread at a time per reader. Index pages
 /// are charged to this reader's own pool, never to the network pools, so
 /// the main-pool miss counts of an index-off run are directly comparable.
 class LandmarkIndexReader {

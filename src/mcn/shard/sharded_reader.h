@@ -1,6 +1,7 @@
 // ShardedNetworkReader: the routing implementation of the NetworkReader
 // seam (DESIGN.md §8) and the one reader the query stack runs on. One
-// instance is a *per-worker* reader set: it owns one BufferPool per shard
+// instance is a *per-slot* reader set (one per service execution slot or
+// session, DESIGN.md §6): it owns one BufferPool per shard
 // (each over that shard's DiskManager) plus a per-shard NetworkReader, and
 // dispatches every record request through the routing table (K = 1: every
 // request goes to shard 0):

@@ -7,10 +7,16 @@
 // sessions must replay a local IncrementalTopK iterator. Also covers
 // protocol-level behavior a unit test can't: error transport for
 // malformed specs, concurrent client connections, session cleanup on
-// disconnect, and garbage-frame rejection on a live socket.
+// disconnect, and garbage-frame rejection on a live socket. And the two
+// routes a wire request can take (DESIGN.md §6): inline on its connection
+// thread when a slot is idle, through the work queue when none is, and
+// both at once under mixed wire and in-process load (a stress case: wire
+// requests execute on connection threads, so it runs under TSan too).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -88,12 +94,12 @@ struct Endpoint {
   std::unique_ptr<exec::QueryService> service;
   std::unique_ptr<Server> server;
 
-  static Endpoint Make(int num_shards, int workers, uint64_t seed = 7) {
+  static Endpoint Make(int num_shards, int workers, uint64_t seed = 7,
+                       exec::ServiceOptions opts = {}) {
     Endpoint ep;
     auto built = gen::BuildShardedInstance(SmallConfig(seed), num_shards);
     EXPECT_TRUE(built.ok());
     ep.instance = std::move(built).value();
-    exec::ServiceOptions opts;
     opts.num_workers = workers;
     opts.queue_capacity = 64;
     opts.pool_frames_per_worker = ep.instance->pool_frames;
@@ -302,6 +308,230 @@ TEST(ApiServerE2eTest, SessionsAreClosedOnDisconnect) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(ep.service->num_open_sessions(), 0u);
+}
+
+namespace mn = exec::metric_names;
+
+/// Rows of a session streamed to exhaustion in batches of 3, in process.
+std::vector<algo::TopKEntry> StreamInProcess(exec::QueryService& service,
+                                             const QuerySpec& spec) {
+  auto id = service.OpenSession(spec);
+  EXPECT_TRUE(id.ok()) << id.status().ToString();
+  std::vector<algo::TopKEntry> rows;
+  for (;;) {
+    exec::QueryResult batch = service.SessionNext(*id, 3).get();
+    EXPECT_TRUE(batch.status.ok()) << batch.status.ToString();
+    for (auto& row : batch.topk) rows.push_back(std::move(row));
+    if (!batch.status.ok() || batch.exhausted) break;
+  }
+  EXPECT_TRUE(service.CloseSession(*id).ok());
+  return rows;
+}
+
+TEST(ApiServerE2eTest, IdleServiceRunsWireRequestsInline) {
+  Endpoint ep = Endpoint::Make(/*num_shards=*/2, /*workers=*/2);
+  const auto specs = MixedSpecs(*ep.instance, 61, 12);
+  std::vector<uint64_t> ref_hashes, ref_misses;
+  for (const QuerySpec& spec : specs) {
+    exec::QueryResult result = ep.service->Submit(spec).get();
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    ref_hashes.push_back(result.result_hash);
+    ref_misses.push_back(result.stats.buffer_misses);
+  }
+  const int d = ep.instance->graph.num_costs();
+  Random rng(67);
+  const QuerySpec stream_spec = IncrementalSpec(
+      ep.instance->RandomQueryLocation(rng), 3, test::TestWeights(d, 71));
+  const uint64_t ref_stream =
+      algo::HashResult(StreamInProcess(*ep.service, stream_spec));
+  ep.service->Drain();
+  const uint64_t pool_before = ep.service->pool_executed();
+  const uint64_t inline_before =
+      ep.service->MetricsSnapshot().CounterValue(mn::kInline);
+  EXPECT_EQ(inline_before, 0u) << "in-process Submit never runs inline";
+
+  // One client at a time finds a slot idle and the queue empty, so every
+  // request runs on its connection thread: one-shots and session batches.
+  auto client = Client::Connect("127.0.0.1", ep.server->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  uint64_t requests = 0;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    auto response = (*client)->Execute(specs[i]);
+    ++requests;
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response.value().status.ok())
+        << response.value().status.ToString();
+    EXPECT_EQ(response.value().result_hash, ref_hashes[i]) << "query " << i;
+    EXPECT_EQ(response.value().buffer_misses, ref_misses[i]) << "query " << i;
+  }
+  auto session = (*client)->OpenSession(stream_spec);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::vector<algo::TopKEntry> streamed;
+  for (;;) {
+    auto batch = (*client)->Next(*session, 3);
+    ++requests;
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_TRUE(batch.value().status.ok());
+    for (auto& row : batch.value().topk) streamed.push_back(std::move(row));
+    if (batch.value().exhausted) break;
+  }
+  EXPECT_EQ(algo::HashResult(streamed), ref_stream);
+  EXPECT_TRUE((*client)->CloseSession(*session).ok());
+
+  EXPECT_EQ(ep.service->MetricsSnapshot().CounterValue(mn::kInline) -
+                inline_before,
+            requests);
+  EXPECT_EQ(ep.service->pool_executed(), pool_before)
+      << "a wire request on an idle service went through the queue";
+}
+
+TEST(ApiServerE2eTest, BusySlotSendsWireRequestsThroughTheQueue) {
+  // One slot, and every buffer miss sleeps 0.5 ms: the in-process filler
+  // holds the slot (or waits for it in the queue) for about 0.2 s.
+  exec::ServiceOptions opts;
+  opts.io_latency_ms = 0.5;
+  opts.simulate_io_stalls = true;
+  Endpoint ep = Endpoint::Make(/*num_shards=*/1, /*workers=*/1, 7, opts);
+  Random rng(73);
+  const QuerySpec spec = SkylineSpec(ep.instance->RandomQueryLocation(rng));
+  const QuerySpec filler = SkylineSpec(ep.instance->RandomQueryLocation(rng));
+  const exec::QueryResult ref = ep.service->Submit(spec).get();
+  ASSERT_TRUE(ref.status.ok());
+  auto client = Client::Connect("127.0.0.1", ep.server->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ep.service->Drain();
+  const obs::Snapshot before = ep.service->MetricsSnapshot();
+  const uint64_t pool_before = ep.service->pool_executed();
+
+  std::future<exec::QueryResult> held = ep.service->Submit(filler);
+  // Submit returned, so the filler is queued or holds the only slot.
+  auto response = (*client)->Execute(spec);
+  const exec::QueryResult filled = held.get();
+  ASSERT_TRUE(filled.status.ok());
+  ASSERT_GE(filled.stats.stall_seconds, 0.05)
+      << "the filler must hold the slot long enough to be seen";
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_TRUE(response.value().status.ok())
+      << response.value().status.ToString();
+  EXPECT_EQ(response.value().result_hash, ref.result_hash);
+  EXPECT_EQ(response.value().buffer_misses, ref.stats.buffer_misses);
+
+  ep.service->Drain();
+  const obs::Snapshot after = ep.service->MetricsSnapshot();
+  EXPECT_EQ(after.CounterValue(mn::kInline), before.CounterValue(mn::kInline))
+      << "the wire request ran inline while the only slot was taken";
+  EXPECT_EQ(ep.service->pool_executed() - pool_before, 2u);
+  // The wire request waited in the queue while the filler slept its
+  // stall: at least half of that stall is booked as queue wait.
+  EXPECT_GE(after.CounterValue(mn::kQueueMicros) -
+                before.CounterValue(mn::kQueueMicros),
+            static_cast<uint64_t>(filled.stats.stall_seconds * 1e6 / 2));
+}
+
+TEST(ApiServerE2eTest, WireClientsAndInProcessCallersShareTwoSlots) {
+  // Both routes at once over 2 slots: wire clients (inline when a slot is
+  // idle), in-process Submit (always queued) and in-process SubmitAndWait
+  // (either route). Execute's debug check aborts if two threads ever
+  // enter one slot together; TSan watches the slots' readers and pools.
+  Endpoint ep = Endpoint::Make(/*num_shards=*/2, /*workers=*/2);
+  const auto specs = MixedSpecs(*ep.instance, 83, 12);
+  std::vector<uint64_t> ref;
+  for (const QuerySpec& spec : specs) {
+    exec::QueryResult result = ep.service->Submit(spec).get();
+    ASSERT_TRUE(result.status.ok());
+    ref.push_back(result.result_hash);
+  }
+  const int d = ep.instance->graph.num_costs();
+  Random rng(89);
+  const QuerySpec stream_spec = IncrementalSpec(
+      ep.instance->RandomQueryLocation(rng), 3, test::TestWeights(d, 97));
+  const uint64_t ref_stream =
+      algo::HashResult(StreamInProcess(*ep.service, stream_spec));
+  ep.service->Drain();
+  const obs::Snapshot before = ep.service->MetricsSnapshot();
+  const uint64_t pool_before = ep.service->pool_executed();
+
+  constexpr int kWireClients = 3;
+  constexpr int kInProcessCallers = 2;
+  constexpr int kRounds = 2;
+  std::atomic<int> mismatches{0};
+  std::atomic<uint64_t> session_batches{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kWireClients; ++c) {
+    threads.emplace_back([&, c] {
+      auto client = Client::Connect("127.0.0.1", ep.server->port());
+      if (!client.ok()) {
+        mismatches.fetch_add(1);
+        return;
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t j = 0; j < specs.size(); ++j) {
+          const size_t i = (j + static_cast<size_t>(c) * 5) % specs.size();
+          auto response = (*client)->Execute(specs[i]);
+          if (!response.ok() || !response.value().status.ok() ||
+              response.value().result_hash != ref[i]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+      if (c != 0) return;
+      // One client also streams a session, so kNext batches share the
+      // slots too.
+      auto session = (*client)->OpenSession(stream_spec);
+      if (!session.ok()) {
+        mismatches.fetch_add(1);
+        return;
+      }
+      std::vector<algo::TopKEntry> streamed;
+      for (;;) {
+        auto batch = (*client)->Next(*session, 3);
+        session_batches.fetch_add(1);
+        if (!batch.ok() || !batch.value().status.ok()) {
+          mismatches.fetch_add(1);
+          return;
+        }
+        for (auto& row : batch.value().topk) streamed.push_back(row);
+        if (batch.value().exhausted) break;
+      }
+      if (algo::HashResult(streamed) != ref_stream) mismatches.fetch_add(1);
+      if (!(*client)->CloseSession(*session).ok()) mismatches.fetch_add(1);
+    });
+  }
+  for (int c = 0; c < kInProcessCallers; ++c) {
+    threads.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t j = 0; j < specs.size(); ++j) {
+          const size_t i = (j + static_cast<size_t>(c) * 7) % specs.size();
+          exec::QueryResult queued = ep.service->Submit(specs[i]).get();
+          exec::QueryResult waited = ep.service->SubmitAndWait(specs[i]);
+          if (!queued.status.ok() || queued.result_hash != ref[i] ||
+              !waited.status.ok() || waited.result_hash != ref[i]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  ep.service->Drain();
+  const obs::Snapshot after = ep.service->MetricsSnapshot();
+  const uint64_t requests =
+      specs.size() * kRounds * (kWireClients + 2 * kInProcessCallers) +
+      session_batches.load();
+  EXPECT_EQ(after.CounterValue(mn::kCompleted) -
+                before.CounterValue(mn::kCompleted),
+            requests);
+  EXPECT_EQ(after.CounterValue(mn::kFailed), before.CounterValue(mn::kFailed));
+  // Every request took exactly one route.
+  const uint64_t ran_inline =
+      after.CounterValue(mn::kInline) - before.CounterValue(mn::kInline);
+  EXPECT_EQ(ran_inline + (ep.service->pool_executed() - pool_before),
+            requests);
+  EXPECT_GE(ep.service->pool_executed() - pool_before,
+            specs.size() * kRounds * kInProcessCallers)
+      << "every in-process Submit is queued";
 }
 
 /// Raw loopback connection for protocol-violation probes.

@@ -1,7 +1,8 @@
 // QueryService end-to-end tests: determinism across worker counts (result
 // hashes AND per-query buffer-miss counts), parity with direct
-// single-threaded execution, shutdown/drain semantics, oversubscription,
-// and the storage layer's concurrent-read contract.
+// single-threaded execution, shutdown/drain semantics (inline requests
+// included), oversubscription, and the storage layer's concurrent-read
+// contract.
 #include "mcn/exec/query_service.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -248,6 +250,39 @@ TEST(QueryServiceTest, NonDrainingShutdownResolvesBacklogWithErrors) {
     (result.status.ok() ? completed : dropped) += 1;
   }
   EXPECT_EQ(completed + dropped, 40);
+}
+
+TEST(QueryServiceTest, ShutdownWaitsOutInlineRequestsThenRefusesThem) {
+  // An inline request runs on its caller's thread, outside the pool that
+  // Shutdown joins. Shutdown must still wait for it before the storage
+  // thaws, and afterwards the synchronous entries fail like Submit.
+  ServiceFixture fx;
+  ServiceOptions opts = fx.Options(1);
+  opts.io_latency_ms = 0.5;
+  opts.simulate_io_stalls = true;  // the inline request sleeps its stall
+  auto service =
+      QueryService::Create(&fx.instance->storage, fx.instance->files, opts);
+  ASSERT_TRUE(service.ok());
+  const auto requests = fx.MixedWorkload(2);
+  QueryResult ran;
+  std::thread caller([&] { ran = (*service)->SubmitAndWait(requests[0]); });
+  // The inline counter ticks once the caller holds the slot.
+  while ((*service)->MetricsSnapshot().CounterValue(mn::kInline) == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  (*service)->Shutdown();
+  // Execute books the request before it releases the slot.
+  EXPECT_EQ((*service)->MetricsSnapshot().CounterValue(mn::kCompleted), 1u)
+      << "Shutdown returned while an inline request was still executing";
+  caller.join();
+  ASSERT_TRUE(ran.status.ok()) << ran.status.ToString();
+  ASSERT_GE(ran.stats.stall_seconds, 0.02)
+      << "the inline request must outlast the pool's shutdown";
+  EXPECT_EQ((*service)->pool_executed(), 0u);
+
+  const QueryResult refused = (*service)->SubmitAndWait(requests[1]);
+  EXPECT_EQ(refused.status.code(), StatusCode::kFailedPrecondition)
+      << refused.status.ToString();
 }
 
 TEST(QueryServiceTest, InvalidRequestsFailCleanlyWithoutPoisoningWorkers) {
